@@ -56,8 +56,9 @@ static void BM_SpiceSalTransient(benchmark::State& state) {
   // transient, measurement extraction.  Warm start disabled so the number
   // is a clean cold-evaluation cost.  Arg 0 = fixed 3000-step grid, arg 1 =
   // LTE-adaptive timestep controller.
-  spice::set_dc_warm_start_enabled(false);
-  spice::set_adaptive_timestep_default(state.range(0) != 0);
+  spice::EvalContext numerics;
+  numerics.options.adaptive_timestep = state.range(0) != 0;
+  const spice::ScopedEvalContext scope(numerics);
   circuits::StrongArmLatchSpice sal;
   const auto& sz = sal.sizing();
   std::vector<double> x01 = {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2, 0, 0, 0, 0, 0, 0.05, 0.01};
@@ -65,8 +66,6 @@ static void BM_SpiceSalTransient(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sal.evaluate(x, pdk::typical_corner(), {}));
   }
-  spice::set_adaptive_timestep_default(false);
-  spice::set_dc_warm_start_enabled(true);
 }
 BENCHMARK(BM_SpiceSalTransient)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -82,7 +81,10 @@ static void BM_SpiceBatchedDraws(benchmark::State& state) {
   // is cold-equivalent.
   constexpr std::size_t kDraws = 16;
   const bool batched = state.range(0) != 0;
-  spice::set_adaptive_timestep_default(batched);
+  spice::EvalContext numerics;
+  numerics.options.adaptive_timestep = batched;
+  numerics.dc_warm_start = true;
+  const spice::ScopedEvalContext scope(numerics);
   circuits::StrongArmLatchSpice sal;
   const auto& sz = sal.sizing();
   std::vector<double> x01 = {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2, 0, 0, 0, 0, 0, 0.05, 0.01};
@@ -102,7 +104,6 @@ static void BM_SpiceBatchedDraws(benchmark::State& state) {
       }
     }
   }
-  spice::set_adaptive_timestep_default(false);
   state.counters["draws_per_s"] = benchmark::Counter(
       static_cast<double>(kDraws) * state.iterations(), benchmark::Counter::kIsRate);
 }

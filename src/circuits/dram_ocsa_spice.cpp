@@ -265,20 +265,12 @@ std::vector<double> DramOcsaSubholeSpice::evaluate(std::span<const double> x,
   double energy_sum = 0.0;
   for (const bool data_one : {false, true}) {
     const spice::Circuit ckt = build_netlist(x, corner, h, data_one);
-    spice::Simulator sim(ckt, spice::default_simulator_options());
+    spice::Simulator sim(ckt, spice::current_context().options);
     const spice::TransientSpec spec = dram_transient_spec();
 
-    const bool warm = spice::dc_warm_start_enabled();
-    const spice::OpResult* seed = nullptr;
-    spice::DcWarmStartCache::Key key;
-    if (warm) {
-      key = spice::make_dc_key(kDramWarmStartTag[data_one ? 1 : 0], x, corner);
-      seed = spice::thread_local_dc_cache().lookup(key);
-    }
-    const spice::TransientResult res = sim.transient(spec, seed);
-    if (warm && res.ok && (seed == nullptr || !res.dc_op.warm_started)) {
-      spice::thread_local_dc_cache().store(key, res.dc_op);
-    }
+    const spice::WarmSeed seed(kDramWarmStartTag[data_one ? 1 : 0], x, corner);
+    const spice::TransientResult res = sim.transient(spec, seed.get());
+    seed.settle(res);
     if (!res.ok) {
       // A non-convergent design fails every constraint: vanishing sensing
       // margins and an enormous energy; the structured report lets the
@@ -311,16 +303,10 @@ std::vector<std::vector<double>> DramOcsaSubholeSpice::evaluate_draws(
     for (const std::vector<double>& h : hs) lanes.push_back(build_netlist(x, corner, h, data_one));
     const spice::TransientSpec spec = dram_transient_spec();
 
-    const bool warm = spice::dc_warm_start_enabled();
-    const spice::OpResult* seed = nullptr;
-    spice::DcWarmStartCache::Key key;
-    if (warm) {
-      key = spice::make_dc_key(kDramWarmStartTag[data_one ? 1 : 0], x, corner);
-      seed = spice::thread_local_dc_cache().lookup(key);
-    }
-    spice::BatchSimulator batch(lanes, spice::default_simulator_options());
-    const std::vector<spice::TransientResult> results = batch.transient(spec, seed);
-    if (warm) spice::sync_warm_start_cache(key, seed, results);
+    const spice::WarmSeed seed(kDramWarmStartTag[data_one ? 1 : 0], x, corner);
+    spice::BatchSimulator batch(lanes, spice::current_context().options);
+    const std::vector<spice::TransientResult> results = batch.transient(spec, seed.get());
+    seed.settle(results);
 
     for (std::size_t l = 0; l < n; ++l) {
       if (!results[l].ok) {

@@ -167,20 +167,12 @@ std::vector<double> FloatingInverterAmplifierSpice::evaluate(std::span<const dou
   const FiaAnalysis nominal = behavioral_.analyze(x, corner, {});
 
   const spice::Circuit ckt = build_netlist(x, corner, h);
-  spice::Simulator sim(ckt, spice::default_simulator_options());
+  spice::Simulator sim(ckt, spice::current_context().options);
   const spice::TransientSpec spec = fia_transient_spec(nominal.t_int);
 
-  const bool warm = spice::dc_warm_start_enabled();
-  const spice::OpResult* seed = nullptr;
-  spice::DcWarmStartCache::Key key;
-  if (warm) {
-    key = spice::make_dc_key(kFiaWarmStartTag, x, corner);
-    seed = spice::thread_local_dc_cache().lookup(key);
-  }
-  const spice::TransientResult res = sim.transient(spec, seed);
-  if (warm && res.ok && (seed == nullptr || !res.dc_op.warm_started)) {
-    spice::thread_local_dc_cache().store(key, res.dc_op);
-  }
+  const spice::WarmSeed seed(kFiaWarmStartTag, x, corner);
+  const spice::TransientResult res = sim.transient(spec, seed.get());
+  seed.settle(res);
   if (!res.ok) {
     // A non-convergent design fails every constraint so the optimizer
     // steers away (both metrics are MinimizeBelow); the structured report
@@ -200,16 +192,10 @@ std::vector<std::vector<double>> FloatingInverterAmplifierSpice::evaluate_draws(
   lanes.reserve(hs.size());
   for (const std::vector<double>& h : hs) lanes.push_back(build_netlist(x, corner, h));
 
-  const bool warm = spice::dc_warm_start_enabled();
-  const spice::OpResult* seed = nullptr;
-  spice::DcWarmStartCache::Key key;
-  if (warm) {
-    key = spice::make_dc_key(kFiaWarmStartTag, x, corner);
-    seed = spice::thread_local_dc_cache().lookup(key);
-  }
-  spice::BatchSimulator batch(lanes, spice::default_simulator_options());
-  const std::vector<spice::TransientResult> results = batch.transient(spec, seed);
-  if (warm) spice::sync_warm_start_cache(key, seed, results);
+  const spice::WarmSeed seed(kFiaWarmStartTag, x, corner);
+  spice::BatchSimulator batch(lanes, spice::current_context().options);
+  const std::vector<spice::TransientResult> results = batch.transient(spec, seed.get());
+  seed.settle(results);
 
   std::vector<std::vector<double>> out;
   out.reserve(results.size());
@@ -274,7 +260,7 @@ std::vector<double> FloatingInverterAmplifierSpice::metrics_from_transient(
   // (docs/architecture.md#ac-noise); the offset and latch-referral terms
   // keep the analytic decomposition either way.
   FiaAnalysis budget = drawn;
-  if (spice::noise_analysis_default()) {
+  if (spice::current_context().noise_analysis) {
     if (const std::optional<double> simulated = simulated_input_noise(x, corner, h)) {
       budget.vn2_thermal = *simulated * *simulated;
     }
@@ -286,7 +272,7 @@ std::vector<double> FloatingInverterAmplifierSpice::metrics_from_transient(
 std::optional<double> FloatingInverterAmplifierSpice::simulated_input_noise(
     std::span<const double> x, const pdk::PvtCorner& corner, std::span<const double> h) const {
   const spice::Circuit ckt = build_netlist(x, corner, h, /*amplify_phase_dc=*/true);
-  spice::Simulator sim(ckt, spice::default_simulator_options());
+  spice::Simulator sim(ckt, spice::current_context().options);
   const spice::OpResult op = sim.operating_point();
   if (!op.converged) return std::nullopt;
   spice::AcNoiseSpec spec;
@@ -297,7 +283,7 @@ std::optional<double> FloatingInverterAmplifierSpice::simulated_input_noise(
   spec.f_stop = 100e9;
   spec.temp_k = corner.temp_k();
   const spice::NoiseResult nr =
-      spice::noise_analysis(ckt, op, spec, spice::default_simulator_options());
+      spice::noise_analysis(ckt, op, spec, spice::current_context().options);
   if (!nr.ok || nr.gain_ref < 1e-3 || !std::isfinite(nr.input_noise_vrms)) return std::nullopt;
   return nr.input_noise_vrms;
 }

@@ -120,30 +120,17 @@ std::vector<double> StrongArmLatchSpice::evaluate(std::span<const double> x,
   // Each pool worker keeps one workspace (the Simulator default): the Newton
   // loop's matrix, RHS, and factorization buffers survive across the
   // thousands of evaluate() calls an optimization run makes on that thread.
-  spice::Simulator sim(ckt, spice::default_simulator_options());
+  spice::Simulator sim(ckt, spice::current_context().options);
   spice::TransientSpec spec;
   spec.t_stop = kTStop;
   spec.dt = kDt;
   spec.record = {"out_a", "out_b"};
-  // DC warm start: mismatch draws of one (design, corner) share the first
-  // draw's converged operating point as the Newton seed.  The seed only
-  // shortens the Newton trajectory (with a cold fallback on failure), so
-  // metrics agree with cold evaluation to within the solver's vtol.
-  const bool warm = spice::dc_warm_start_enabled();
-  const spice::OpResult* seed = nullptr;
-  spice::DcWarmStartCache::Key key;
-  if (warm) {
-    key = spice::make_dc_key(kSalWarmStartTag, x, corner);
-    seed = spice::thread_local_dc_cache().lookup(key);
-  }
-  const spice::TransientResult res = sim.transient(spec, seed);
-  // Store on a cache miss, and also refresh whenever a cached seed went
-  // unused (the warm attempt failed and the cold fallback converged) so a
-  // stale entry cannot keep charging the failed-warm-attempt tax to every
-  // later draw of this design.
-  if (warm && res.ok && (seed == nullptr || !res.dc_op.warm_started)) {
-    spice::thread_local_dc_cache().store(key, res.dc_op);
-  }
+  // DC warm start (when the context enables it): mismatch draws of one
+  // (design, corner) share the first draw's converged operating point as
+  // the Newton seed (see spice/warm_start.hpp for what that changes).
+  const spice::WarmSeed seed(kSalWarmStartTag, x, corner);
+  const spice::TransientResult res = sim.transient(spec, seed.get());
+  seed.settle(res);
   if (!res.ok) {
     // A non-convergent design is a broken design: the penalty metrics fail
     // every constraint so the optimizer steers away, and the structured
@@ -167,17 +154,11 @@ std::vector<std::vector<double>> StrongArmLatchSpice::evaluate_draws(
 
   // One warm-start lookup for the whole group; BatchSimulator rolls the
   // seed forward across lanes exactly as the per-draw cache would, and
-  // sync_warm_start_cache replays the per-draw store/hit bookkeeping.
-  const bool warm = spice::dc_warm_start_enabled();
-  const spice::OpResult* seed = nullptr;
-  spice::DcWarmStartCache::Key key;
-  if (warm) {
-    key = spice::make_dc_key(kSalWarmStartTag, x, corner);
-    seed = spice::thread_local_dc_cache().lookup(key);
-  }
-  spice::BatchSimulator batch(lanes, spice::default_simulator_options());
-  const std::vector<spice::TransientResult> results = batch.transient(spec, seed);
-  if (warm) spice::sync_warm_start_cache(key, seed, results);
+  // WarmSeed::settle replays the per-draw store/hit bookkeeping.
+  const spice::WarmSeed seed(kSalWarmStartTag, x, corner);
+  spice::BatchSimulator batch(lanes, spice::current_context().options);
+  const std::vector<spice::TransientResult> results = batch.transient(spec, seed.get());
+  seed.settle(results);
 
   std::vector<std::vector<double>> out;
   out.reserve(results.size());
@@ -258,7 +239,7 @@ std::vector<double> StrongArmLatchSpice::metrics_from_transient(
   // (docs/architecture.md#ac-noise), keeping the analytic budget as the
   // fallback when the small-signal solve fails.
   double noise = behavioral_.evaluate(x, corner, h)[3];
-  if (spice::noise_analysis_default()) {
+  if (spice::current_context().noise_analysis) {
     if (const std::optional<double> simulated = simulated_input_noise(x, corner, h)) {
       noise = *simulated;
     }
@@ -270,7 +251,7 @@ std::vector<double> StrongArmLatchSpice::metrics_from_transient(
 std::optional<double> StrongArmLatchSpice::simulated_input_noise(
     std::span<const double> x, const pdk::PvtCorner& corner, std::span<const double> h) const {
   const spice::Circuit ckt = build_netlist(x, corner, h, /*amplify_phase_dc=*/true);
-  spice::Simulator sim(ckt, spice::default_simulator_options());
+  spice::Simulator sim(ckt, spice::current_context().options);
   const spice::OpResult op = sim.operating_point();
   if (!op.converged) return std::nullopt;
   spice::AcNoiseSpec spec;
@@ -283,7 +264,7 @@ std::optional<double> StrongArmLatchSpice::simulated_input_noise(
   spec.f_stop = 100e9;
   spec.temp_k = corner.temp_k();
   const spice::NoiseResult nr =
-      spice::noise_analysis(ckt, op, spec, spice::default_simulator_options());
+      spice::noise_analysis(ckt, op, spec, spice::current_context().options);
   if (!nr.ok || nr.gain_ref < 1e-3 || !std::isfinite(nr.input_noise_vrms)) return std::nullopt;
   return nr.input_noise_vrms;
 }

@@ -16,11 +16,30 @@
 #include "common/state_io.hpp"
 #include "core/persistent_cache.hpp"
 #include "core/surrogate.hpp"
-#include "spice/counters.hpp"
-#include "spice/simulator.hpp"
-#include "spice/warm_start.hpp"
 
 namespace glova::core {
+
+namespace {
+
+/// EngineStats fields counted in the engine's spice::CounterSink, in the
+/// order of the engine-state `carried` line.
+using SinkCounter = spice::CounterSink::Counter spice::CounterSink::*;
+constexpr std::pair<std::uint64_t EngineStats::*, SinkCounter> kSinkFields[] = {
+    {&EngineStats::dc_warm_hits, &spice::CounterSink::warm_hits},
+    {&EngineStats::dc_warm_misses, &spice::CounterSink::warm_misses},
+    {&EngineStats::dc_warm_stores, &spice::CounterSink::warm_stores},
+    {&EngineStats::batch_groups, &spice::CounterSink::batch_groups},
+    {&EngineStats::batch_lanes, &spice::CounterSink::batch_lanes},
+    {&EngineStats::bypass_solves, &spice::CounterSink::bypass_solves},
+    {&EngineStats::bypass_refactors, &spice::CounterSink::bypass_refactors},
+    {&EngineStats::steps_accepted, &spice::CounterSink::steps_accepted},
+    {&EngineStats::steps_rejected, &spice::CounterSink::steps_rejected},
+    {&EngineStats::recovered_dc, &spice::CounterSink::recovered_dc},
+    {&EngineStats::recovered_transient, &spice::CounterSink::recovered_transient},
+    {&EngineStats::deadline_aborts, &spice::CounterSink::deadline_aborts},
+};
+
+}  // namespace
 
 std::size_t EvaluationEngine::CacheKeyHash::operator()(const CacheKey& key) const noexcept {
   return key_fnv1a(key);
@@ -36,12 +55,6 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
     slots_ = std::make_unique<std::counting_semaphore<>>(
         static_cast<std::ptrdiff_t>(config_.parallelism));
   }
-  // The warm-start switch is process-wide (the caches are per worker
-  // thread); the most recently constructed engine's config wins, which
-  // matches the one-engine-per-run usage everywhere in the codebase.  The
-  // adaptive-timestep and Newton-bypass switches follow the same pattern:
-  // they configure spice::default_simulator_options() for every simulation
-  // this engine (or anything sharing the process) runs from here on.
   if (config_.max_eval_retries < 0) {
     throw std::invalid_argument("EvaluationEngine: max_eval_retries must be >= 0");
   }
@@ -58,15 +71,15 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
   if (config_.mos_model != "level1" && config_.mos_model != "ekv") {
     throw std::invalid_argument("EvaluationEngine: mos_model must be 'level1' or 'ekv'");
   }
-  spice::set_mos_model_default(config_.mos_model == "ekv" ? spice::MosModel::kEkv
-                                                          : spice::MosModel::kLevel1);
-  spice::set_noise_analysis_default(config_.spice_noise);
-  spice::set_dc_warm_start_enabled(config_.dc_warm_start);
-  spice::set_adaptive_timestep_default(config_.adaptive_timestep);
-  spice::set_newton_bypass_default(config_.newton_bypass);
-  spice::set_recovery_default(config_.recovery);
-  spice::set_deadline_default(config_.eval_deadline_steps);
-  snapshot_warm_baseline();
+  spice::SimulatorOptions& options = context_.options;
+  options.mos_model = config_.mos_model == "ekv" ? spice::MosModel::kEkv : spice::MosModel::kLevel1;
+  options.adaptive_timestep = config_.adaptive_timestep;
+  options.newton_bypass = config_.newton_bypass;
+  options.recovery.enabled = config_.recovery;
+  options.deadline_newton_iterations = config_.eval_deadline_steps;
+  context_.dc_warm_start = config_.dc_warm_start;
+  context_.noise_analysis = config_.spice_noise;
+  context_.sink = &sink_;
   load_persistent_cache();
 }
 
@@ -74,25 +87,20 @@ std::vector<double> EvaluationEngine::recover_or_degrade(std::span<const double>
                                                          const pdk::PvtCorner& corner,
                                                          std::span<const double> h,
                                                          const std::vector<double>& penalty) {
-  // Escalated retries: each attempt raises the thread-local recovery level,
-  // so the failing evaluation re-runs with the ladder enabled (level 1) and
-  // then taller/deeper (level >= 2).  The level is always restored to 0 —
-  // neighbouring evaluations on this thread must not inherit it.
+  // Escalated retries: each attempt runs under a copy of the context with
+  // the ladder enabled (level 1) and then taller/deeper (level >= 2); the
+  // copy is uninstalled when the attempt's scope ends.
   for (int attempt = 1; attempt <= config_.max_eval_retries; ++attempt) {
     retries_.fetch_add(1);
-    spice::set_recovery_escalation(attempt);
+    spice::EvalContext escalated = context_;
+    escalated.options = spice::escalate_recovery(context_.options, attempt);
+    const spice::ScopedEvalContext scope(escalated);
     try {
-      std::vector<double> metrics = testbench_->evaluate(x_phys, corner, h);
-      spice::set_recovery_escalation(0);
-      return metrics;
+      return testbench_->evaluate(x_phys, corner, h);
     } catch (const circuits::EvaluationError&) {
       // Next attempt escalates further.
-    } catch (...) {
-      spice::set_recovery_escalation(0);
-      throw;
     }
   }
-  spice::set_recovery_escalation(0);
   if (config_.degrade_to_behavioral) {
     if (const circuits::Testbench* fallback = testbench_->degraded_fallback()) {
       degraded_evals_.fetch_add(1);
@@ -105,6 +113,7 @@ std::vector<double> EvaluationEngine::recover_or_degrade(std::span<const double>
 std::vector<double> EvaluationEngine::evaluate_guarded(std::span<const double> x_phys,
                                                        const pdk::PvtCorner& corner,
                                                        std::span<const double> h) {
+  const spice::ScopedEvalContext scope(context_);
   try {
     return testbench_->evaluate(x_phys, corner, h);
   } catch (const circuits::EvaluationError& e) {
@@ -128,30 +137,6 @@ std::vector<double> EvaluationEngine::evaluate_with_slot(std::span<const double>
     throw;
   }
 }
-
-void EvaluationEngine::snapshot_warm_baseline() {
-  const spice::WarmStartStats warm = spice::warm_start_stats();
-  warm_base_hits_ = warm.hits;
-  warm_base_misses_ = warm.misses;
-  warm_base_stores_ = warm.stores;
-  const spice::SpiceCounters sc = spice::spice_counters();
-  spice_base_[0] = sc.batch_groups;
-  spice_base_[1] = sc.batch_lanes;
-  spice_base_[2] = sc.bypass_solves;
-  spice_base_[3] = sc.bypass_refactors;
-  spice_base_[4] = sc.steps_accepted;
-  spice_base_[5] = sc.steps_rejected;
-  spice_base_[6] = sc.recovered_dc;
-  spice_base_[7] = sc.recovered_transient;
-  spice_base_[8] = sc.deadline_aborts;
-}
-
-EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, std::size_t parallelism)
-    : EvaluationEngine(std::move(testbench), [&] {
-        EngineConfig cfg;
-        cfg.parallelism = parallelism;
-        return cfg;
-      }()) {}
 
 EvaluationEngine::~EvaluationEngine() {
   std::vector<std::future<void>> pending;
@@ -428,6 +413,7 @@ std::vector<std::vector<double>> EvaluationEngine::evaluate_batch(
     // group's metrics for that lane already hold the penalty sentinel, so
     // with no retries and no degradation nothing changes.
     const auto run_group = [&] {
+      const spice::ScopedEvalContext scope(context_);
       group = testbench_->evaluate_draws(x_phys, corner, miss_hs, lane_failures);
       if (config_.max_eval_retries > 0 || config_.degrade_to_behavioral) {
         for (std::size_t mi = 0; mi < miss_hs.size(); ++mi) {
@@ -554,25 +540,7 @@ EngineStats EvaluationEngine::stats() const {
   s.requested = requested_.load();
   s.executed = executed_.load();
   s.cache_hits = cache_hits_.load();
-  const spice::WarmStartStats warm = spice::warm_start_stats();
-  // Saturating delta: a concurrent reset_warm_start_stats() elsewhere must
-  // not wrap the reported counts.
-  s.dc_warm_hits = warm.hits >= warm_base_hits_ ? warm.hits - warm_base_hits_ : 0;
-  s.dc_warm_misses = warm.misses >= warm_base_misses_ ? warm.misses - warm_base_misses_ : 0;
-  s.dc_warm_stores = warm.stores >= warm_base_stores_ ? warm.stores - warm_base_stores_ : 0;
-  const spice::SpiceCounters sc = spice::spice_counters();
-  const auto delta = [](std::uint64_t now, std::uint64_t base) {
-    return now >= base ? now - base : 0;
-  };
-  s.batch_groups = delta(sc.batch_groups, spice_base_[0]);
-  s.batch_lanes = delta(sc.batch_lanes, spice_base_[1]);
-  s.bypass_solves = delta(sc.bypass_solves, spice_base_[2]);
-  s.bypass_refactors = delta(sc.bypass_refactors, spice_base_[3]);
-  s.steps_accepted = delta(sc.steps_accepted, spice_base_[4]);
-  s.steps_rejected = delta(sc.steps_rejected, spice_base_[5]);
-  s.recovered_dc = delta(sc.recovered_dc, spice_base_[6]);
-  s.recovered_transient = delta(sc.recovered_transient, spice_base_[7]);
-  s.deadline_aborts = delta(sc.deadline_aborts, spice_base_[8]);
+  for (const auto& [stat, counter] : kSinkFields) s.*stat = (sink_.*counter).load();
   s.retries = retries_.load();
   s.degraded_evals = degraded_evals_.load();
   s.surrogate_prunes = surrogate_prunes_.load();
@@ -581,19 +549,6 @@ EngineStats EvaluationEngine::stats() const {
     const std::lock_guard<std::mutex> lock(surrogate_mutex_);
     s.surrogate_train_steps = surrogate_ ? surrogate_->train_steps() : 0;
   }
-  // Counters carried across a process restart via load_state().
-  s.dc_warm_hits += carried_.dc_warm_hits;
-  s.dc_warm_misses += carried_.dc_warm_misses;
-  s.dc_warm_stores += carried_.dc_warm_stores;
-  s.batch_groups += carried_.batch_groups;
-  s.batch_lanes += carried_.batch_lanes;
-  s.bypass_solves += carried_.bypass_solves;
-  s.bypass_refactors += carried_.bypass_refactors;
-  s.steps_accepted += carried_.steps_accepted;
-  s.steps_rejected += carried_.steps_rejected;
-  s.recovered_dc += carried_.recovered_dc;
-  s.recovered_transient += carried_.recovered_transient;
-  s.deadline_aborts += carried_.deadline_aborts;
   return s;
 }
 
@@ -605,8 +560,7 @@ void EvaluationEngine::reset_count() {
   degraded_evals_.store(0);
   surrogate_prunes_.store(0);
   surrogate_confirms_.store(0);
-  carried_ = EngineStats{};
-  snapshot_warm_baseline();
+  for (const auto& field : kSinkFields) (sink_.*field.second).store(0);
 }
 
 std::size_t EvaluationEngine::cache_size() const {
@@ -628,13 +582,9 @@ void EvaluationEngine::save_state(std::ostream& os) const {
   os << "engine-state " << (v2 ? 2 : 1) << '\n';
   os << "counters " << requested_.load() << ' ' << executed_.load() << ' ' << cache_hits_.load()
      << ' ' << retries_.load() << ' ' << degraded_evals_.load() << '\n';
-  // Fold the live process-wide deltas into the carried totals so a restore in
-  // a fresh process (whose deltas restart at zero) continues the same counts.
-  const EngineStats s = stats();
-  os << "carried " << s.dc_warm_hits << ' ' << s.dc_warm_misses << ' ' << s.dc_warm_stores << ' '
-     << s.batch_groups << ' ' << s.batch_lanes << ' ' << s.bypass_solves << ' '
-     << s.bypass_refactors << ' ' << s.steps_accepted << ' ' << s.steps_rejected << ' '
-     << s.recovered_dc << ' ' << s.recovered_transient << ' ' << s.deadline_aborts << '\n';
+  os << "carried";
+  for (const auto& field : kSinkFields) os << ' ' << (sink_.*field.second).load();
+  os << '\n';
   if (v2) {
     os << "surrogate-counters " << surrogate_prunes_.load() << ' ' << surrogate_confirms_.load()
        << '\n';
@@ -679,12 +629,10 @@ void EvaluationEngine::load_state(std::istream& is) {
   {
     std::istringstream line(state::expect_line(is, "carried"));
     EngineStats c;
-    if (!(line >> c.dc_warm_hits >> c.dc_warm_misses >> c.dc_warm_stores >> c.batch_groups >>
-          c.batch_lanes >> c.bypass_solves >> c.bypass_refactors >> c.steps_accepted >>
-          c.steps_rejected >> c.recovered_dc >> c.recovered_transient >> c.deadline_aborts)) {
-      state::bad("malformed engine carried counters");
+    for (const auto& field : kSinkFields) {
+      if (!(line >> c.*field.first)) state::bad("malformed engine carried counters");
     }
-    carried_ = c;
+    for (const auto& [stat, counter] : kSinkFields) (sink_.*counter).store(c.*stat);
   }
   if (version >= 2) {
     std::istringstream line(state::expect_line(is, "surrogate-counters"));
@@ -733,8 +681,6 @@ void EvaluationEngine::load_state(std::istream& is) {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   lru_ = std::move(lru);
   index_ = std::move(index);
-  // Deltas restart from this instant; everything before is in carried_.
-  snapshot_warm_baseline();
 }
 
 }  // namespace glova::core

@@ -33,6 +33,8 @@
 #include "circuits/testbench.hpp"
 #include "common/thread_pool.hpp"
 #include "pdk/corner.hpp"
+#include "spice/counters.hpp"
+#include "spice/simulator.hpp"
 
 namespace glova::core {
 
@@ -48,6 +50,13 @@ struct SimulationCost {
   friend bool operator==(const SimulationCost&, const SimulationCost&) = default;
 };
 
+/// The SPICE numerics knobs below (dc_warm_start, adaptive_timestep,
+/// newton_bypass, recovery, eval_deadline_steps, mos_model, spice_noise)
+/// apply per engine: the engine turns them into one spice::EvalContext at
+/// construction and installs it on the calling thread around each testbench
+/// call it makes, so engines with different configs can share a process and
+/// its worker threads.  A testbench called outside any engine runs the cold
+/// defaults (SimulatorOptions{}, warm start and simulated noise off).
 struct EngineConfig {
   /// Maximum simulations in flight for one batch.  0 = use every thread-pool
   /// worker; 1 = strictly sequential.
@@ -63,9 +72,10 @@ struct EngineConfig {
   /// distinct mismatch draws never alias.
   double cache_quantum = 1e-15;
   /// Enable the SPICE-level DC warm-start cache (converged operating points
-  /// reused as Newton seeds across mismatch draws of one design).  Applied
-  /// to the process-wide spice::set_dc_warm_start_enabled switch at engine
-  /// construction; behavioral testbenches are unaffected.
+  /// reused as Newton seeds across mismatch draws of one design).  Results
+  /// then depend on what a worker thread had cached before
+  /// (spice/warm_start.hpp); off is the reproducible setting.  Behavioral
+  /// testbenches are unaffected.
   bool dc_warm_start = true;
   /// Route same-(x, corner) mismatch-draw groups through the testbench's
   /// batched evaluator (spice::BatchSimulator lockstep marching) when it
@@ -74,28 +84,25 @@ struct EngineConfig {
   /// default: with adaptive stepping and bypass off the batched metrics are
   /// bit-identical, but the sequential path stays the reference.
   bool batched_draws = false;
-  /// LTE-adaptive timestep control in the SPICE transient (process-wide
-  /// spice::set_adaptive_timestep_default, like dc_warm_start).  Changes
-  /// metric values within the controller's truncation-error tolerance.
+  /// LTE-adaptive timestep control in the SPICE transient.  Changes metric
+  /// values within the controller's truncation-error tolerance.
   bool adaptive_timestep = false;
-  /// Newton LU-bypass (chord iterations on retained factors, process-wide
-  /// spice::set_newton_bypass_default).  Changes metrics within Newton vtol.
+  /// Newton LU-bypass (chord iterations on retained factors).  Changes
+  /// metrics within Newton vtol.
   bool newton_bypass = false;
-  /// Convergence-recovery ladder in the SPICE engine (process-wide
-  /// spice::set_recovery_default): gmin stepping for hard DC points, substep
-  /// cutting and restart-from-DC for transient Newton failures.  Off by
-  /// default — with every recovery knob off, solves are bit-identical to
-  /// previous releases.
+  /// Convergence-recovery ladder in the SPICE engine: gmin stepping for hard
+  /// DC points, substep cutting and restart-from-DC for transient Newton
+  /// failures.  Off by default — with every recovery knob off, solves are
+  /// bit-identical to previous releases.
   bool recovery = false;
   /// Re-run a failed evaluation up to this many times with the recovery
-  /// ladder escalated each attempt (spice::set_recovery_escalation) before
+  /// ladder escalated each attempt (spice::escalate_recovery) before
   /// giving up.  0 = no retries: a failed evaluation keeps the backend's
   /// legacy penalty metrics.
   int max_eval_retries = 0;
-  /// Cooperative per-evaluation deadline in Newton iterations (process-wide
-  /// spice::set_deadline_default; per lane in the batched evaluator).  A run
-  /// that exhausts it aborts deterministically with FailureStage::Deadline.
-  /// 0 = no deadline.
+  /// Cooperative per-evaluation deadline in Newton iterations (per lane in
+  /// the batched evaluator).  A run that exhausts it aborts deterministically
+  /// with FailureStage::Deadline.  0 = no deadline.
   std::uint64_t eval_deadline_steps = 0;
   /// Graceful degradation: when an evaluation still fails after every retry,
   /// quarantine it to the testbench's degraded_fallback() (the behavioral
@@ -103,8 +110,7 @@ struct EngineConfig {
   /// Off by default — opt-in because the fallback's metrics are modeled, not
   /// simulated.
   bool degrade_to_behavioral = false;
-  /// MOSFET channel model for every SPICE simulation this engine drives
-  /// (process-wide spice::set_mos_model_default, like dc_warm_start).
+  /// MOSFET channel model for every SPICE simulation this engine drives.
   /// "level1" (default): the historical square law with hard sub-Vth cutoff
   /// — bit-identical to previous releases.  "ekv": the continuous
   /// weak/strong-inversion model (docs/architecture.md#mos-models), which
@@ -113,8 +119,7 @@ struct EngineConfig {
   std::string mos_model = "level1";
   /// Replace the analytic noise budget of SPICE testbenches with the
   /// simulated small-signal AC/noise pass on the converged DC operating
-  /// point (process-wide spice::set_noise_analysis_default; see
-  /// docs/architecture.md#ac-noise).  Off by default — behavioral
+  /// point (docs/architecture.md#ac-noise).  Off by default — behavioral
   /// testbenches and every pinned baseline are unaffected.
   bool spice_noise = false;
   /// Path of the persistent cross-session memo-cache file (see
@@ -147,10 +152,10 @@ struct EngineConfig {
 /// at any quiescent point (the last term is zero unless the opt-in surrogate
 /// mode is on); requested is what simulation_count() reports.  The dc_warm_*
 /// counters report SPICE warm-start activity (summed over every worker
-/// thread's cache) since this engine was constructed or reset_count() was
-/// last called, so the whole evaluation funnel reads from one snapshot;
-/// concurrent activity from *other* engines in the same process is still
-/// included, matching the one-engine-per-run usage everywhere here.
+/// thread's cache) of this engine's own testbench calls since it was
+/// constructed or reset_count() was last called, so the whole evaluation
+/// funnel reads from one snapshot; other engines in the process never
+/// contribute.
 struct EngineStats {
   std::uint64_t requested = 0;
   std::uint64_t executed = 0;
@@ -158,10 +163,10 @@ struct EngineStats {
   std::uint64_t dc_warm_hits = 0;
   std::uint64_t dc_warm_misses = 0;
   std::uint64_t dc_warm_stores = 0;
-  /// Simulator-level activity (same delta-vs-snapshot convention as the
-  /// dc_warm_* counters): batched draw groups and their total lanes, chord
-  /// solves vs refactors under Newton bypass, and the adaptive timestep
-  /// controller's accepted/rejected step totals.
+  /// Simulator-level activity (same per-engine convention as the dc_warm_*
+  /// counters): batched draw groups and their total lanes, chord solves vs
+  /// refactors under Newton bypass, and the adaptive timestep controller's
+  /// accepted/rejected step totals.
   std::uint64_t batch_groups = 0;
   std::uint64_t batch_lanes = 0;
   std::uint64_t bypass_solves = 0;
@@ -170,7 +175,7 @@ struct EngineStats {
   std::uint64_t steps_rejected = 0;
   /// Convergence-recovery funnel: DC points and transient steps the
   /// simulator's recovery ladder rescued, and runs its cooperative deadline
-  /// aborted (same delta-vs-snapshot convention as above).
+  /// aborted (same per-engine convention as above).
   std::uint64_t recovered_dc = 0;
   std::uint64_t recovered_transient = 0;
   std::uint64_t deadline_aborts = 0;
@@ -192,8 +197,6 @@ struct EngineStats {
 class EvaluationEngine {
  public:
   explicit EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfig config = {});
-  /// Compatibility constructor: engine defaults with an explicit parallelism.
-  EvaluationEngine(circuits::TestbenchPtr testbench, std::size_t parallelism);
   /// Blocks until every submit()-queued evaluation has finished: a queued
   /// task touches the engine's counters and cache, so they must not outlive
   /// the engine.
@@ -234,7 +237,7 @@ class EvaluationEngine {
   [[nodiscard]] std::uint64_t simulation_count() const { return requested_.load(); }
   /// Full counter snapshot (requested/executed/cache-hit + dc_warm_*).
   [[nodiscard]] EngineStats stats() const;
-  /// Zero every counter and re-baseline the process-wide warm-start deltas.
+  /// Zero every counter.
   void reset_count();
 
   /// Current number of memoized evaluations (<= EngineConfig::cache_capacity).
@@ -253,11 +256,10 @@ class EvaluationEngine {
 
   /// Text-serialize the engine's counters and memoization cache (LRU order
   /// preserved) so a restored engine answers the same requests with the same
-  /// hit/miss pattern.  The process-wide SPICE counter deltas accrued so far
-  /// are folded into a carried snapshot, so stats() of a restored engine in a
-  /// fresh process continues from the saved totals.  Configuration is NOT
-  /// serialized — `load_state` expects an engine constructed with the same
-  /// EngineConfig and testbench.  With the surrogate off the frame is the
+  /// hit/miss pattern.  The engine's SPICE counters go in the `carried` line,
+  /// so stats() of a restored engine in a fresh process continues from the
+  /// saved totals.  Configuration is NOT serialized — `load_state` expects an
+  /// engine constructed with the same EngineConfig and testbench.  With the surrogate off the frame is the
   /// byte-identical v1 of previous releases; surrogate mode writes v2, which
   /// adds the speculative-evaluation counters and model.  load_state reads
   /// both.
@@ -340,18 +342,11 @@ class EvaluationEngine {
   std::atomic<std::uint64_t> degraded_evals_{0};
   std::atomic<std::uint64_t> surrogate_prunes_{0};
   std::atomic<std::uint64_t> surrogate_confirms_{0};
-  /// Process-wide spice warm-start counters at construction / last reset;
-  /// stats() reports deltas against these.
-  std::uint64_t warm_base_hits_ = 0;
-  std::uint64_t warm_base_misses_ = 0;
-  std::uint64_t warm_base_stores_ = 0;
-  /// Process-wide simulator counters (batch/bypass/adaptive/recovery) at the
-  /// same baseline instant.
-  std::uint64_t spice_base_[9] = {0, 0, 0, 0, 0, 0, 0, 0, 0};
-  void snapshot_warm_baseline();
-  /// Counter totals carried over from a previous process via load_state();
-  /// stats() adds these to the live deltas.  All-zero outside resumes.
-  EngineStats carried_;
+  /// SPICE and warm-start counters of this engine's testbench calls (the
+  /// dc_warm_* and simulator fields of EngineStats).
+  spice::CounterSink sink_;
+  /// The numerics of config_, installed around each testbench call.
+  spice::EvalContext context_;
 
   mutable std::mutex cache_mutex_;
   /// LRU: most recent at the front.  The map points into the list.

@@ -1,68 +1,66 @@
 #include "spice/counters.hpp"
 
-#include <atomic>
+#include "spice/simulator.hpp"
 
 namespace glova::spice {
 
 namespace {
-std::atomic<std::uint64_t> g_batch_groups{0};
-std::atomic<std::uint64_t> g_batch_lanes{0};
-std::atomic<std::uint64_t> g_bypass_solves{0};
-std::atomic<std::uint64_t> g_bypass_refactors{0};
-std::atomic<std::uint64_t> g_steps_accepted{0};
-std::atomic<std::uint64_t> g_steps_rejected{0};
-std::atomic<std::uint64_t> g_recovered_dc{0};
-std::atomic<std::uint64_t> g_recovered_transient{0};
-std::atomic<std::uint64_t> g_deadline_aborts{0};
+CounterSink g_process;
 }  // namespace
 
-SpiceCounters spice_counters() {
+SpiceCounters CounterSink::spice() const {
   SpiceCounters c;
-  c.batch_groups = g_batch_groups.load(std::memory_order_relaxed);
-  c.batch_lanes = g_batch_lanes.load(std::memory_order_relaxed);
-  c.bypass_solves = g_bypass_solves.load(std::memory_order_relaxed);
-  c.bypass_refactors = g_bypass_refactors.load(std::memory_order_relaxed);
-  c.steps_accepted = g_steps_accepted.load(std::memory_order_relaxed);
-  c.steps_rejected = g_steps_rejected.load(std::memory_order_relaxed);
-  c.recovered_dc = g_recovered_dc.load(std::memory_order_relaxed);
-  c.recovered_transient = g_recovered_transient.load(std::memory_order_relaxed);
-  c.deadline_aborts = g_deadline_aborts.load(std::memory_order_relaxed);
+  c.batch_groups = batch_groups.load(std::memory_order_relaxed);
+  c.batch_lanes = batch_lanes.load(std::memory_order_relaxed);
+  c.bypass_solves = bypass_solves.load(std::memory_order_relaxed);
+  c.bypass_refactors = bypass_refactors.load(std::memory_order_relaxed);
+  c.steps_accepted = steps_accepted.load(std::memory_order_relaxed);
+  c.steps_rejected = steps_rejected.load(std::memory_order_relaxed);
+  c.recovered_dc = recovered_dc.load(std::memory_order_relaxed);
+  c.recovered_transient = recovered_transient.load(std::memory_order_relaxed);
+  c.deadline_aborts = deadline_aborts.load(std::memory_order_relaxed);
   return c;
 }
 
-void reset_spice_counters() {
-  g_batch_groups.store(0, std::memory_order_relaxed);
-  g_batch_lanes.store(0, std::memory_order_relaxed);
-  g_bypass_solves.store(0, std::memory_order_relaxed);
-  g_bypass_refactors.store(0, std::memory_order_relaxed);
-  g_steps_accepted.store(0, std::memory_order_relaxed);
-  g_steps_rejected.store(0, std::memory_order_relaxed);
-  g_recovered_dc.store(0, std::memory_order_relaxed);
-  g_recovered_transient.store(0, std::memory_order_relaxed);
-  g_deadline_aborts.store(0, std::memory_order_relaxed);
+WarmStartStats CounterSink::warm() const {
+  WarmStartStats s;
+  s.hits = warm_hits.load(std::memory_order_relaxed);
+  s.misses = warm_misses.load(std::memory_order_relaxed);
+  s.stores = warm_stores.load(std::memory_order_relaxed);
+  return s;
 }
 
+void count(CounterSink::Counter CounterSink::*counter, std::uint64_t n) {
+  if (n == 0) return;
+  (g_process.*counter).fetch_add(n, std::memory_order_relaxed);
+  if (CounterSink* sink = current_context().sink) {
+    (sink->*counter).fetch_add(n, std::memory_order_relaxed);
+  }
+}
+
+SpiceCounters spice_counters() { return g_process.spice(); }
+
+WarmStartStats warm_start_stats() { return g_process.warm(); }
+
 void note_batch_group(std::uint64_t lanes) {
-  g_batch_groups.fetch_add(1, std::memory_order_relaxed);
-  g_batch_lanes.fetch_add(lanes, std::memory_order_relaxed);
+  count(&CounterSink::batch_groups);
+  count(&CounterSink::batch_lanes, lanes);
 }
 
 void note_bypass_solves(std::uint64_t solves, std::uint64_t refactors) {
-  if (solves != 0) g_bypass_solves.fetch_add(solves, std::memory_order_relaxed);
-  if (refactors != 0) g_bypass_refactors.fetch_add(refactors, std::memory_order_relaxed);
+  count(&CounterSink::bypass_solves, solves);
+  count(&CounterSink::bypass_refactors, refactors);
 }
 
 void note_lte_steps(std::uint64_t accepted, std::uint64_t rejected) {
-  if (accepted != 0) g_steps_accepted.fetch_add(accepted, std::memory_order_relaxed);
-  if (rejected != 0) g_steps_rejected.fetch_add(rejected, std::memory_order_relaxed);
+  count(&CounterSink::steps_accepted, accepted);
+  count(&CounterSink::steps_rejected, rejected);
 }
 
-void note_recovered_dc() { g_recovered_dc.fetch_add(1, std::memory_order_relaxed); }
+void note_recovered_dc() { count(&CounterSink::recovered_dc); }
 
-void note_recovered_transient() {
-  g_recovered_transient.fetch_add(1, std::memory_order_relaxed);
-}
+void note_recovered_transient() { count(&CounterSink::recovered_transient); }
 
-void note_deadline_abort() { g_deadline_aborts.fetch_add(1, std::memory_order_relaxed); }
+void note_deadline_abort() { count(&CounterSink::deadline_aborts); }
 
 }  // namespace glova::spice

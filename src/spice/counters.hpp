@@ -1,9 +1,11 @@
-// Process-wide simulator counters (relaxed atomics, summed over every
-// thread), mirroring the warm-start statistics pattern: the scalar and
-// batched evaluators note events here and core::EvaluationEngine surfaces
-// them through EngineStats as deltas against a construction-time snapshot.
+// Simulator and DC warm-start counters (relaxed atomics, summed over every
+// thread).  Each event is added twice: to the process totals, and to the
+// CounterSink of the evaluation context installed on the calling thread
+// (see EvalContext in simulator.hpp), so core::EvaluationEngine reports
+// exactly the work its own testbench calls did.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 namespace glova::spice {
@@ -20,17 +22,50 @@ struct SpiceCounters {
   /// steps, scalar and batched paths combined.
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
-  /// Convergence-recovery ladder: DC operating points rescued by gmin
-  /// stepping and transient steps rescued by substep cutting / DC restart
-  /// (scalar and per-lane batched rescues combined).
+  /// Convergence-recovery ladder: DC points rescued by gmin stepping and
+  /// transient steps rescued by substep cutting / DC restart (scalar and
+  /// per-lane batched rescues combined).
   std::uint64_t recovered_dc = 0;
   std::uint64_t recovered_transient = 0;
   /// Runs aborted by the cooperative Newton-iteration deadline.
   std::uint64_t deadline_aborts = 0;
 };
 
+/// DC warm-start cache activity (summed over every thread's cache).
+struct WarmStartStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t stores = 0;
+};
+
+/// One set of counters.  The process totals are one sink; every evaluation
+/// engine owns another.
+struct CounterSink {
+  using Counter = std::atomic<std::uint64_t>;
+  Counter batch_groups{0};
+  Counter batch_lanes{0};
+  Counter bypass_solves{0};
+  Counter bypass_refactors{0};
+  Counter steps_accepted{0};
+  Counter steps_rejected{0};
+  Counter recovered_dc{0};
+  Counter recovered_transient{0};
+  Counter deadline_aborts{0};
+  Counter warm_hits{0};
+  Counter warm_misses{0};
+  Counter warm_stores{0};
+
+  [[nodiscard]] SpiceCounters spice() const;
+  [[nodiscard]] WarmStartStats warm() const;
+};
+
+/// Add `n` to one counter of the process totals and of the calling thread's
+/// installed sink (if any).
+void count(CounterSink::Counter CounterSink::*counter, std::uint64_t n = 1);
+
+/// Process totals since start-up.
 [[nodiscard]] SpiceCounters spice_counters();
-void reset_spice_counters();
+[[nodiscard]] WarmStartStats warm_start_stats();
 
 void note_batch_group(std::uint64_t lanes);
 void note_bypass_solves(std::uint64_t solves, std::uint64_t refactors);

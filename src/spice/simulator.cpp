@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -14,60 +13,25 @@
 namespace glova::spice {
 
 // ---------------------------------------------------------------------------
-// Process-wide option switches
+// Evaluation context
 
 namespace {
-std::atomic<bool> g_adaptive_timestep_default{false};
-std::atomic<bool> g_newton_bypass_default{false};
-std::atomic<bool> g_recovery_default{false};
-std::atomic<std::uint64_t> g_deadline_default{0};
-std::atomic<unsigned char> g_mos_model_default{static_cast<unsigned char>(MosModel::kLevel1)};
-std::atomic<bool> g_noise_analysis_default{false};
-thread_local int t_recovery_escalation = 0;
+thread_local const EvalContext* t_context = nullptr;
 thread_local const FaultPlan* t_fault_plan = nullptr;
 }  // namespace
 
-bool adaptive_timestep_default() {
-  return g_adaptive_timestep_default.load(std::memory_order_relaxed);
+const EvalContext& current_context() {
+  static const EvalContext cold;
+  return t_context != nullptr ? *t_context : cold;
 }
-void set_adaptive_timestep_default(bool enabled) {
-  g_adaptive_timestep_default.store(enabled, std::memory_order_relaxed);
-}
-bool newton_bypass_default() { return g_newton_bypass_default.load(std::memory_order_relaxed); }
-void set_newton_bypass_default(bool enabled) {
-  g_newton_bypass_default.store(enabled, std::memory_order_relaxed);
-}
-bool recovery_default() { return g_recovery_default.load(std::memory_order_relaxed); }
-void set_recovery_default(bool enabled) {
-  g_recovery_default.store(enabled, std::memory_order_relaxed);
-}
-std::uint64_t deadline_default() { return g_deadline_default.load(std::memory_order_relaxed); }
-void set_deadline_default(std::uint64_t max_newton_iterations) {
-  g_deadline_default.store(max_newton_iterations, std::memory_order_relaxed);
-}
-MosModel mos_model_default() {
-  return static_cast<MosModel>(g_mos_model_default.load(std::memory_order_relaxed));
-}
-void set_mos_model_default(MosModel model) {
-  g_mos_model_default.store(static_cast<unsigned char>(model), std::memory_order_relaxed);
-}
-bool noise_analysis_default() { return g_noise_analysis_default.load(std::memory_order_relaxed); }
-void set_noise_analysis_default(bool enabled) {
-  g_noise_analysis_default.store(enabled, std::memory_order_relaxed);
-}
-int recovery_escalation() { return t_recovery_escalation; }
-void set_recovery_escalation(int level) { t_recovery_escalation = level; }
 
-SimulatorOptions default_simulator_options() {
-  SimulatorOptions options;
-  options.mos_model = mos_model_default();
-  options.adaptive_timestep = adaptive_timestep_default();
-  options.newton_bypass = newton_bypass_default();
-  options.recovery.enabled = recovery_default();
-  options.deadline_newton_iterations = deadline_default();
-  // Escalated retries (core::EvaluationEngine) harden the ladder beyond the
-  // process defaults; level 0 leaves the options untouched.
-  const int level = recovery_escalation();
+ScopedEvalContext::ScopedEvalContext(const EvalContext& context) : previous_(t_context) {
+  t_context = &context;
+}
+
+ScopedEvalContext::~ScopedEvalContext() { t_context = previous_; }
+
+SimulatorOptions escalate_recovery(SimulatorOptions options, int level) {
   if (level >= 1) options.recovery.enabled = true;
   if (level >= 2) {
     options.recovery.gmin_start = 1e-2;

@@ -220,34 +220,42 @@ struct SimulatorOptions {
          spent >= options.deadline_newton_iterations;
 }
 
-/// Process-wide default switches for the options testbench backends build
-/// their simulators with (the same pattern as set_dc_warm_start_enabled):
-/// core::EvaluationEngine applies its EngineConfig here, and benchmarks /
-/// tests toggle them directly.  Both default to off.
-[[nodiscard]] bool adaptive_timestep_default();
-void set_adaptive_timestep_default(bool enabled);
-[[nodiscard]] bool newton_bypass_default();
-void set_newton_bypass_default(bool enabled);
-[[nodiscard]] bool recovery_default();
-void set_recovery_default(bool enabled);
-[[nodiscard]] std::uint64_t deadline_default();
-void set_deadline_default(std::uint64_t max_newton_iterations);
-[[nodiscard]] MosModel mos_model_default();
-void set_mos_model_default(MosModel model);
-[[nodiscard]] bool noise_analysis_default();
-void set_noise_analysis_default(bool enabled);
+/// SimulatorOptions with the recovery ladder escalated for the `level`-th
+/// retry of a failed evaluation: level 1 turns recovery on; level >= 2 adds a
+/// taller gmin ladder, deeper step cuts and an extra DC restart.  Level 0
+/// returns `options` unchanged.
+[[nodiscard]] SimulatorOptions escalate_recovery(SimulatorOptions options, int level);
 
-/// Thread-local recovery escalation level, applied on top of the process
-/// defaults by default_simulator_options().  core::EvaluationEngine raises
-/// it while re-running a failed evaluation (level 1: recovery on; level >= 2:
-/// a taller gmin ladder, deeper step cuts, and an extra DC restart) and
-/// resets it to 0 afterwards.
-[[nodiscard]] int recovery_escalation();
-void set_recovery_escalation(int level);
+struct CounterSink;
 
-/// SimulatorOptions with the process-wide switches applied — what testbench
-/// backends pass to their Simulator / BatchSimulator.
-[[nodiscard]] SimulatorOptions default_simulator_options();
+/// The numerics of one testbench call: what the SPICE testbench backends
+/// build their simulators with, whether they use the DC warm-start cache and
+/// the simulated noise pass, and where the call's counters go (besides the
+/// process totals).  core::EvaluationEngine builds one from its EngineConfig
+/// and installs it around each testbench call it makes.
+struct EvalContext {
+  SimulatorOptions options;
+  bool dc_warm_start = false;
+  bool noise_analysis = false;
+  CounterSink* sink = nullptr;
+};
+
+/// The context installed on the calling thread.  With none installed, the
+/// cold defaults: SimulatorOptions{}, warm start and noise off, no sink.
+[[nodiscard]] const EvalContext& current_context();
+
+/// Installs a context on the calling thread for the scope's lifetime and
+/// restores the previous one on exit.  `context` must outlive the scope.
+class ScopedEvalContext {
+ public:
+  explicit ScopedEvalContext(const EvalContext& context);
+  ~ScopedEvalContext();
+  ScopedEvalContext(const ScopedEvalContext&) = delete;
+  ScopedEvalContext& operator=(const ScopedEvalContext&) = delete;
+
+ private:
+  const EvalContext* previous_;
+};
 
 /// Deterministic fault injection for tests and benches (off by default).
 /// A plan is installed thread-locally; while one is installed, every Newton

@@ -69,24 +69,10 @@
 #include "backend_parity_grid.hpp"
 #include "circuits/registry.hpp"
 #include "spice/simulator.hpp"
+#include "spice_test_context.hpp"
 
 namespace glova {
 namespace {
-
-/// Swaps the process-wide channel-model default for the duration of one
-/// test, restoring the previous value even on assertion failure.
-class ScopedMosModel {
- public:
-  explicit ScopedMosModel(spice::MosModel model) : prev_(spice::mos_model_default()) {
-    spice::set_mos_model_default(model);
-  }
-  ~ScopedMosModel() { spice::set_mos_model_default(prev_); }
-  ScopedMosModel(const ScopedMosModel&) = delete;
-  ScopedMosModel& operator=(const ScopedMosModel&) = delete;
-
- private:
-  spice::MosModel prev_;
-};
 
 struct MetricBand {
   const char* metric;
@@ -178,7 +164,7 @@ class BackendParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(BackendParity, NominalMetricsAgreeWithinBands) {
   const ParityBands& bands = kBands[GetParam()];
-  const ScopedMosModel guard(bands.model);
+  const spice::ScopedTestContext numerics(spice::warm_context(bands.model));
   const auto beh = circuits::make_testbench(bands.tc, circuits::Backend::Behavioral);
   const auto spc = circuits::make_testbench(bands.tc, circuits::Backend::Spice);
   const auto designs = parity_grid::designs_x01(bands.tc);
@@ -194,7 +180,7 @@ TEST_P(BackendParity, NominalMetricsAgreeWithinBands) {
 
 TEST_P(BackendParity, LocalMismatchDrawsAgreeWithinBands) {
   const ParityBands& bands = kBands[GetParam()];
-  const ScopedMosModel guard(bands.model);
+  const spice::ScopedTestContext numerics(spice::warm_context(bands.model));
   const auto beh = circuits::make_testbench(bands.tc, circuits::Backend::Behavioral);
   const auto spc = circuits::make_testbench(bands.tc, circuits::Backend::Spice);
   const auto designs = parity_grid::designs_x01(bands.tc);

@@ -1,19 +1,24 @@
 // Tests for the EvaluationEngine: memoization-cache correctness (hits return
 // identical metrics, distinct mismatch draws never alias), counter semantics
 // (requested == hits + executed == simulation_count()), LRU bounding, the
-// parallelism cap, and the future-based submission path.
+// parallelism cap, the future-based submission path, and the isolation of
+// engines with different SPICE numerics sharing one process.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <set>
 #include <thread>
 
 #include "circuits/registry.hpp"
+#include "core/config.hpp"
 #include "core/evaluation_engine.hpp"
 #include "pdk/variation.hpp"
+#include "spice/counters.hpp"
 
 namespace glova::core {
 namespace {
@@ -330,11 +335,130 @@ TEST(EvaluationEngine, MemoKeyQuantizationProperty) {
 
 TEST(EvaluationEngine, SequentialParallelismNeverUsesThePool) {
   const auto probe = std::make_shared<ConcurrencyProbeBench>();
-  EvaluationEngine engine(probe, /*parallelism=*/1);
+  EngineConfig cfg;
+  cfg.parallelism = 1;
+  EvaluationEngine engine(probe, cfg);
   std::vector<std::vector<double>> hs;
   for (int i = 0; i < 20; ++i) hs.push_back({static_cast<double>(i)});
   (void)engine.evaluate_batch(std::vector<double>{0.5}, pdk::typical_corner(), hs);
   EXPECT_EQ(probe->max_in_flight(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Two engines with different SPICE numerics in one process.
+
+/// One SAL SPICE engine's call sequence: the x = 0.5 design at the first C
+/// corner, nominal and with local draws, batched over the pool.
+struct SalSpiceRun {
+  std::vector<double> x;
+  pdk::PvtCorner corner;
+  std::vector<std::vector<double>> hs;
+
+  SalSpiceRun() {
+    const auto tb = circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice);
+    x = midpoint_design(*tb);
+    corner = OperationalConfig::for_method(VerifMethod::C).corners.front();
+    Rng rng(5);
+    hs = pdk::sample_mismatch_set(tb->mismatch_layout(x, false), 3, rng, pdk::GlobalMode::Zero);
+    hs.insert(hs.begin(), std::vector<double>{});
+  }
+
+  static EngineConfig config(const char* mos_model, bool warm) {
+    EngineConfig cfg;
+    cfg.mos_model = mos_model;
+    cfg.dc_warm_start = warm;
+    cfg.min_parallel_batch = 2;  // fan the draws out over the pool
+    return cfg;
+  }
+
+  static std::unique_ptr<EvaluationEngine> engine(const EngineConfig& cfg) {
+    return std::make_unique<EvaluationEngine>(
+        circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice), cfg);
+  }
+
+  /// One step of the sequence: a single evaluation, then the draw batch.
+  [[nodiscard]] std::vector<std::vector<double>> step(EvaluationEngine& engine) const {
+    std::vector<std::vector<double>> out{engine.evaluate_one(x, corner, {})};
+    for (auto& m : engine.evaluate_batch(x, corner, hs)) out.push_back(std::move(m));
+    return out;
+  }
+};
+
+bool bit_identical(const std::vector<std::vector<double>>& a,
+                   const std::vector<std::vector<double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size() ||
+        std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(EngineIsolation, EachEngineComputesAsIfAlone) {
+  const SalSpiceRun run;
+  const EngineConfig level1 = SalSpiceRun::config("level1", false);
+  const EngineConfig ekv = SalSpiceRun::config("ekv", false);
+  const auto alone_level1 = run.step(*SalSpiceRun::engine(level1));
+  const auto alone_ekv = run.step(*SalSpiceRun::engine(ekv));
+  // The two models really differ here, so a leak would show.
+  ASSERT_NE(alone_level1[0][0], alone_ekv[0][0]);
+
+  const auto a = SalSpiceRun::engine(level1);
+  const auto b = SalSpiceRun::engine(ekv);
+  const auto shared_level1 = run.step(*a);
+  const auto shared_ekv = run.step(*b);
+  EXPECT_TRUE(bit_identical(shared_level1, alone_level1));
+  EXPECT_TRUE(bit_identical(shared_ekv, alone_ekv));
+  // And interleaved with the other engine's calls on the same threads.
+  a->clear_cache();
+  b->clear_cache();
+  std::vector<std::vector<double>> again_level1;
+  std::vector<std::vector<double>> again_ekv;
+  std::thread other([&] { again_ekv = run.step(*b); });
+  again_level1 = run.step(*a);
+  other.join();
+  EXPECT_TRUE(bit_identical(again_level1, alone_level1));
+  EXPECT_TRUE(bit_identical(again_ekv, alone_ekv));
+}
+
+TEST(EngineIsolation, EngineCountersPartitionTheProcessTotals) {
+  const SalSpiceRun run;
+  EngineConfig batched = SalSpiceRun::config("ekv", true);
+  batched.batched_draws = true;
+  batched.adaptive_timestep = true;
+  const spice::SpiceCounters spice_before = spice::spice_counters();
+  const spice::WarmStartStats warm_before = spice::warm_start_stats();
+  const auto a = SalSpiceRun::engine(SalSpiceRun::config("level1", true));
+  const auto b = SalSpiceRun::engine(batched);
+  std::thread other([&] { (void)run.step(*b); });
+  (void)run.step(*a);
+  other.join();
+  (void)run.step(*a);  // cache hits: no new SPICE work
+
+  const EngineStats sa = a->stats();
+  const EngineStats sb = b->stats();
+  const spice::SpiceCounters sp = spice::spice_counters();
+  const spice::WarmStartStats warm = spice::warm_start_stats();
+  EXPECT_GT(sa.dc_warm_hits + sa.dc_warm_misses, 0u);
+  EXPECT_GT(sb.batch_groups, 0u);
+  EXPECT_GT(sb.steps_accepted, 0u);
+  EXPECT_EQ(sa.dc_warm_hits + sb.dc_warm_hits, warm.hits - warm_before.hits);
+  EXPECT_EQ(sa.dc_warm_misses + sb.dc_warm_misses, warm.misses - warm_before.misses);
+  EXPECT_EQ(sa.dc_warm_stores + sb.dc_warm_stores, warm.stores - warm_before.stores);
+  EXPECT_EQ(sa.batch_groups + sb.batch_groups, sp.batch_groups - spice_before.batch_groups);
+  EXPECT_EQ(sa.batch_lanes + sb.batch_lanes, sp.batch_lanes - spice_before.batch_lanes);
+  EXPECT_EQ(sa.steps_accepted + sb.steps_accepted,
+            sp.steps_accepted - spice_before.steps_accepted);
+  EXPECT_EQ(sa.steps_rejected + sb.steps_rejected,
+            sp.steps_rejected - spice_before.steps_rejected);
+  EXPECT_EQ(sa.bypass_solves + sb.bypass_solves, sp.bypass_solves - spice_before.bypass_solves);
+  EXPECT_EQ(sa.recovered_dc + sb.recovered_dc, sp.recovered_dc - spice_before.recovered_dc);
+  EXPECT_EQ(sa.recovered_transient + sb.recovered_transient,
+            sp.recovered_transient - spice_before.recovered_transient);
+  EXPECT_EQ(sa.deadline_aborts + sb.deadline_aborts,
+            sp.deadline_aborts - spice_before.deadline_aborts);
 }
 
 }  // namespace

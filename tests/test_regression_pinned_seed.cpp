@@ -19,7 +19,6 @@
 #include "circuits/spice_backend.hpp"
 #include "common/log.hpp"
 #include "core/optimizer.hpp"
-#include "spice/warm_start.hpp"
 
 namespace glova {
 namespace {
@@ -120,18 +119,13 @@ const SpiceBaseline kSpiceBaselines[] = {
 };
 
 TEST(PinnedSeedRegression, SpiceMetricsMatchRecordedBaselines) {
-  // Evaluate everything first and restore the global warm-start switch
-  // before any assertion can return early, so a failing row cannot leave
-  // warm start disabled for the rest of the binary.
-  const bool was_enabled = spice::dc_warm_start_enabled();
-  spice::set_dc_warm_start_enabled(false);
+  // Direct calls run the cold defaults (no warm start), the recorded setting.
   std::vector<std::vector<double>> measured;
   for (const SpiceBaseline& row : kSpiceBaselines) {
     const auto tb = circuits::make_testbench(row.testcase, circuits::Backend::Spice);
     const auto x = tb->sizing().denormalize(row.x01);
     measured.push_back(tb->evaluate(x, pdk::typical_corner(), {}));
   }
-  spice::set_dc_warm_start_enabled(was_enabled);
 
   for (std::size_t ri = 0; ri < std::size(kSpiceBaselines); ++ri) {
     const SpiceBaseline& row = kSpiceBaselines[ri];

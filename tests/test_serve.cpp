@@ -1,11 +1,13 @@
 // glova-serve tests: the FairScheduler and protocol units, JobStore spool
 // round-trips, and the live server over loopback TCP — submit/status/result,
 // malformed requests, bounded admission, concurrent clients, WATCH streams,
-// and the headline contract: a server killed mid-flight (stop without a
-// final checkpoint, exactly the on-disk state a SIGKILL leaves) restarts and
-// finishes every in-flight campaign bit-identical to an uninterrupted run.
+// tenants whose SPICE numerics differ, and the headline contract: a server
+// killed mid-flight (stop without a final checkpoint, exactly the on-disk
+// state a SIGKILL leaves) restarts and finishes every in-flight campaign
+// bit-identical to an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -431,6 +433,56 @@ TEST(Server, ConcurrentClientsGetDistinctJobs) {
   EXPECT_EQ(client.read_payload().size(), kClients);
 
   server.stop(true);
+}
+
+TEST(Server, TenantsWithDifferentSpiceNumericsGetTheirOwnResults) {
+  set_log_level(LogLevel::Warn);
+  const std::string spool = fresh_dir("glova_serve_numerics");
+  serve::ServerConfig config;
+  config.spool_dir = spool;
+  config.workers = 2;
+  serve::Server server(std::move(config));
+  server.start();
+
+  // Capped SAL SPICE GLOVA sweeps that differ only in the MOS model, run
+  // concurrently on the two workers.
+  const std::array<const char*, 2> models = {"level1", "ekv"};
+  std::array<core::SweepSpec, 2> sweeps;
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    sweeps[i] = serve_sweep();
+    sweeps[i].algorithms = {core::Algorithm::Glova};
+    sweeps[i].base.backend = circuits::Backend::Spice;
+    sweeps[i].base.max_iterations = 4;
+    sweeps[i].base.engine.dc_warm_start = false;
+    sweeps[i].base.engine.mos_model = models[i];
+  }
+  std::array<std::string, 2> submitted;
+  std::vector<std::thread> tenants;
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    tenants.emplace_back([&, i] {
+      TestClient client(server.port());
+      if (!client.connected()) return;
+      submitted[i] =
+          client.request("SUBMIT tenant" + std::to_string(i) + ' ' + sweeps[i].to_string());
+    });
+  }
+  for (std::thread& tenant : tenants) tenant.join();
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    ASSERT_EQ(submitted[i].rfind("OK ", 0), 0u) << submitted[i];
+    const std::string id = submitted[i].substr(3);
+    const std::string status = wait_for_state(client, id, "Done");
+    ASSERT_NE(status.find(" Done "), std::string::npos) << status;
+    core::Campaign alone(sweeps[i]);
+    EXPECT_EQ(strip_trailing_newlines(result_text(client, id)),
+              strip_trailing_newlines(serve::format_campaign_result(alone.run())))
+        << models[i];
+  }
+
+  server.stop(true);
+  std::filesystem::remove_all(spool);
 }
 
 TEST(Server, WatchStreamsEventsUntilTheJobEnds) {

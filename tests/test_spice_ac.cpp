@@ -24,22 +24,10 @@
 #include "spice/mos_model.hpp"
 #include "spice/simulator.hpp"
 #include "spice/warm_start.hpp"
+#include "spice_test_context.hpp"
 
 namespace glova::spice {
 namespace {
-
-class ScopedMosModel {
- public:
-  explicit ScopedMosModel(MosModel model) : prev_(mos_model_default()) {
-    set_mos_model_default(model);
-  }
-  ~ScopedMosModel() { set_mos_model_default(prev_); }
-  ScopedMosModel(const ScopedMosModel&) = delete;
-  ScopedMosModel& operator=(const ScopedMosModel&) = delete;
-
- private:
-  MosModel prev_;
-};
 
 // ------------------------------------------------------------------ RC ----
 
@@ -59,7 +47,7 @@ TEST(AcNoise, RcLowpassMatchesClosedForm) {
   ckt.add_resistor("R1", in, out, r);
   ckt.add_capacitor("C1", out, Circuit::ground(), c);
 
-  const SimulatorOptions options = default_simulator_options();
+  const SimulatorOptions options{};
   Simulator sim(ckt, options);
   const OpResult op = sim.operating_point();
   ASSERT_TRUE(op.converged);
@@ -125,7 +113,7 @@ struct CsAmp {
 
 TEST(AcNoise, CommonSourceAmpMatchesLinearization) {
   CsAmp amp;
-  const SimulatorOptions options = default_simulator_options();
+  const SimulatorOptions options{};
   Simulator sim(amp.ckt, options);
   const OpResult op = sim.operating_point();
   ASSERT_TRUE(op.converged);
@@ -169,7 +157,7 @@ TEST(AcNoise, CommonSourceAmpMatchesLinearization) {
 // thermal^2 + flicker^2 == total^2 holds by linearity, not approximately.
 TEST(AcNoise, FunnelInvariantPartitionsTotalNoise) {
   CsAmp amp;
-  const SimulatorOptions options = default_simulator_options();
+  const SimulatorOptions options{};
   Simulator sim(amp.ckt, options);
   const OpResult op = sim.operating_point();
   ASSERT_TRUE(op.converged);
@@ -195,7 +183,7 @@ TEST(AcNoise, FunnelInvariantPartitionsTotalNoise) {
 // small-signal conductances, finite positive noise.
 TEST(AcNoise, RunsOnEkvOperatingPoint) {
   CsAmp amp;
-  SimulatorOptions options = default_simulator_options();
+  SimulatorOptions options;
   options.mos_model = MosModel::kEkv;
   Simulator sim(amp.ckt, options);
   const OpResult op = sim.operating_point();
@@ -276,9 +264,7 @@ class BatchedEkvParity : public ::testing::TestWithParam<int> {};
 // — including at the cold corner only ekv can evaluate.
 TEST_P(BatchedEkvParity, BitIdenticalToSequentialUnderEkv) {
   const circuits::Testcase tc = circuits::all_testcases()[GetParam()];
-  const ScopedMosModel guard(MosModel::kEkv);
-  set_adaptive_timestep_default(false);
-  set_newton_bypass_default(false);
+  const ScopedTestContext numerics(warm_context(MosModel::kEkv));
   const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
 
   const auto designs = parity_grid::designs_x01(tc);

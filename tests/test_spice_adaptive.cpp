@@ -13,6 +13,7 @@
 #include "spice/circuit.hpp"
 #include "spice/counters.hpp"
 #include "spice/simulator.hpp"
+#include "spice_test_context.hpp"
 
 namespace glova::spice {
 namespace {
@@ -110,14 +111,18 @@ TEST(AdaptiveTimestep, ProcessCountersMirrorResultCounters) {
   const Circuit ckt = stiff_chain();
   SimulatorOptions opt;
   opt.adaptive_timestep = true;
-  reset_spice_counters();
+  const SpiceCounters before = spice_counters();
+  const ScopedTestContext counted;
   Simulator sim(ckt, opt);
   const TransientResult res = sim.transient(chain_spec());
   ASSERT_TRUE(res.ok) << res.error;
-  const SpiceCounters c = spice_counters();
+  // The process totals and the installed context's sink both see the run.
+  const SpiceCounters after = spice_counters();
+  EXPECT_EQ(after.steps_accepted - before.steps_accepted, res.steps_accepted);
+  EXPECT_EQ(after.steps_rejected - before.steps_rejected, res.steps_rejected);
+  const SpiceCounters c = counted.sink().spice();
   EXPECT_EQ(c.steps_accepted, res.steps_accepted);
   EXPECT_EQ(c.steps_rejected, res.steps_rejected);
-  reset_spice_counters();
 }
 
 }  // namespace

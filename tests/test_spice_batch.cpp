@@ -20,6 +20,7 @@
 #include "spice/counters.hpp"
 #include "spice/simulator.hpp"
 #include "spice/warm_start.hpp"
+#include "spice_test_context.hpp"
 
 namespace glova::spice {
 namespace {
@@ -43,12 +44,11 @@ std::vector<std::vector<double>> draw_group(const circuits::Testbench& tb,
   return hs;
 }
 
-/// Pin the process-wide simulator switches to the documented defaults; the
-/// engine constructor and other tests may have flipped them.
-void reset_simulator_defaults() {
-  set_adaptive_timestep_default(false);
-  set_newton_bypass_default(false);
-  set_dc_warm_start_enabled(true);
+/// The warm-start context with one option flipped.
+EvalContext warm_with(bool SimulatorOptions::*option) {
+  EvalContext context = warm_context();
+  context.options.*option = true;
+  return context;
 }
 
 TEST(BatchSimulator, RejectsNonCongruentLanes) {
@@ -82,7 +82,7 @@ class BatchedDrawParity : public ::testing::TestWithParam<int> {};
 TEST_P(BatchedDrawParity, BitIdenticalToSequentialWithDefaultOptions) {
   const circuits::Testcase tc = testcase_for(GetParam());
   const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
-  reset_simulator_defaults();
+  const ScopedTestContext warm;
 
   const auto designs = parity_grid::designs_x01(tc);
   const auto corners = parity_grid::corners();
@@ -116,7 +116,7 @@ TEST_P(BatchedDrawParity, BitIdenticalToSequentialWithDefaultOptions) {
 TEST_P(BatchedDrawParity, AdaptiveTimestepStaysWithinToleranceBand) {
   const circuits::Testcase tc = testcase_for(GetParam());
   const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
-  reset_simulator_defaults();
+  const ScopedTestContext warm;
 
   const auto designs = parity_grid::designs_x01(tc);
   const auto corners = parity_grid::corners();
@@ -128,10 +128,11 @@ TEST_P(BatchedDrawParity, AdaptiveTimestepStaysWithinToleranceBand) {
       std::vector<std::vector<double>> ref;
       for (const auto& h : hs) ref.push_back(tb->evaluate(x, corners[c], h));
 
-      set_adaptive_timestep_default(true);
       thread_local_dc_cache().clear();
-      const auto bat = tb->evaluate_draws(x, corners[c], hs);
-      set_adaptive_timestep_default(false);
+      const auto bat = [&] {
+        const ScopedTestContext adaptive(warm_with(&SimulatorOptions::adaptive_timestep));
+        return tb->evaluate_draws(x, corners[c], hs);
+      }();
 
       ASSERT_EQ(bat.size(), ref.size());
       for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -152,7 +153,7 @@ INSTANTIATE_TEST_SUITE_P(AllTestcases, BatchedDrawParity, ::testing::Range(0, 3)
 // chord solves must dominate refactors for the optimization to be worth it.
 TEST(BatchedDraws, NewtonBypassWithinToleranceAndChordDominates) {
   const auto tb = circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice);
-  reset_simulator_defaults();
+  const ScopedTestContext warm;
   const auto x = tb->sizing().denormalize(parity_grid::designs_x01(circuits::Testcase::Sal)[0]);
   const auto hs = draw_group(*tb, x, 3, 7);
   const pdk::PvtCorner corner = pdk::typical_corner();
@@ -161,13 +162,11 @@ TEST(BatchedDraws, NewtonBypassWithinToleranceAndChordDominates) {
   std::vector<std::vector<double>> ref;
   for (const auto& h : hs) ref.push_back(tb->evaluate(x, corner, h));
 
-  set_newton_bypass_default(true);
   thread_local_dc_cache().clear();
-  reset_spice_counters();
+  const ScopedTestContext bypass(warm_with(&SimulatorOptions::newton_bypass));
   const auto bat = tb->evaluate_draws(x, corner, hs);
-  set_newton_bypass_default(false);
 
-  const SpiceCounters c = spice_counters();
+  const SpiceCounters c = bypass.sink().spice();
   EXPECT_GT(c.bypass_solves, 0u);
   EXPECT_GT(c.bypass_solves, 4 * c.bypass_refactors);
 
@@ -184,7 +183,7 @@ TEST(BatchedDraws, NewtonBypassWithinToleranceAndChordDominates) {
 // hit/miss/store totals the sequential per-draw path would.
 TEST(BatchedDraws, WarmStartAccountingMatchesSequentialSemantics) {
   const auto tb = circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice);
-  reset_simulator_defaults();
+  const ScopedTestContext warm;
   const auto x = tb->sizing().denormalize(parity_grid::designs_x01(circuits::Testcase::Sal)[0]);
   const auto hs = draw_group(*tb, x, 3, 11);  // 4 lanes
   const pdk::PvtCorner corner = pdk::typical_corner();
@@ -192,18 +191,17 @@ TEST(BatchedDraws, WarmStartAccountingMatchesSequentialSemantics) {
   // Cold cache: the group lookup misses, lane 0 cold-solves and stores, the
   // three remaining lanes warm-start off the rolling seed (credited hits).
   thread_local_dc_cache().clear();
-  reset_warm_start_stats();
   (void)tb->evaluate_draws(x, corner, hs);
-  WarmStartStats s = warm_start_stats();
+  WarmStartStats s = warm.sink().warm();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.stores, 1u);
   EXPECT_EQ(s.hits, 3u);
 
   // Warm cache: the group lookup hits, every lane warm-starts — exactly the
   // four hits four sequential lookups would have counted, and no store.
-  reset_warm_start_stats();
+  const ScopedTestContext again;
   (void)tb->evaluate_draws(x, corner, hs);
-  s = warm_start_stats();
+  s = again.sink().warm();
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.stores, 0u);
   EXPECT_EQ(s.hits, 4u);
@@ -261,8 +259,6 @@ TEST(BatchedDraws, EngineRoutesDrawGroupsAndComposesWithMemoCache) {
       pdk::sample_mismatch_set(layout, 1, rng, pdk::GlobalMode::Zero);
   (void)bat_engine.evaluate_batch(x, corner, h_extra);
   EXPECT_EQ(bat_engine.stats().batch_groups, 1u);
-
-  reset_simulator_defaults();
 }
 
 }  // namespace

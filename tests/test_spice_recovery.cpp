@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "backend_parity_grid.hpp"
@@ -20,6 +22,7 @@
 #include "spice/simulator.hpp"
 #include "spice/warm_start.hpp"
 #include "spice/waveform.hpp"
+#include "spice_test_context.hpp"
 
 namespace glova::spice {
 namespace {
@@ -358,32 +361,69 @@ TEST(Recovery, BatchLaneEscalatesAloneWithoutDisturbingItsNeighbors) {
   }
 }
 
-TEST(Recovery, EscalationLevelsShapeTheDefaultOptions) {
-  set_recovery_default(false);
-  set_recovery_escalation(0);
-  EXPECT_FALSE(default_simulator_options().recovery.enabled);
-  set_recovery_escalation(1);
-  EXPECT_TRUE(default_simulator_options().recovery.enabled);
-  set_recovery_escalation(2);
-  const SimulatorOptions o = default_simulator_options();
-  EXPECT_TRUE(o.recovery.enabled);
-  EXPECT_GT(o.recovery.max_gmin_rungs, RecoveryPolicy{}.max_gmin_rungs);
-  EXPECT_GT(o.recovery.max_step_cuts, RecoveryPolicy{}.max_step_cuts);
-  set_recovery_escalation(0);
-}
-
 // ---------------------------------------------------------------------------
 // The engine-level funnel: structured errors out of the backends, escalated
 // retries, degradation quarantine, and the EngineStats taxonomy.
 
-/// Restore every process-wide simulator switch the engine tests touch.
-void reset_simulator_defaults() {
-  set_adaptive_timestep_default(false);
-  set_newton_bypass_default(false);
-  set_recovery_default(false);
-  set_deadline_default(0);
-  set_recovery_escalation(0);
-  set_dc_warm_start_enabled(true);
+/// One-design testbench over rc_circuit(): each call records the options of
+/// the installed context and runs the RC transient with them.
+class RcProbe final : public circuits::Testbench {
+ public:
+  RcProbe() {
+    sizing_.names = {"r"};
+    sizing_.lower = {1e3};
+    sizing_.upper = {1e3};
+    performance_.metrics = {
+        circuits::MetricSpec{"out", "V", 1.0, 1.0, circuits::Sense::MinimizeBelow}};
+  }
+  [[nodiscard]] const std::string& name() const override { return name_; }
+  [[nodiscard]] const circuits::SizingSpec& sizing() const override { return sizing_; }
+  [[nodiscard]] const circuits::PerformanceSpec& performance() const override {
+    return performance_;
+  }
+  [[nodiscard]] pdk::MismatchLayout mismatch_layout(std::span<const double>,
+                                                    bool) const override {
+    return {};
+  }
+  [[nodiscard]] std::vector<double> evaluate(std::span<const double>, const pdk::PvtCorner&,
+                                             std::span<const double>) const override {
+    seen_.push_back(current_context().options);
+    const TransientResult res = Simulator(rc_circuit(), seen_.back()).transient(rc_spec());
+    if (!res.ok) throw circuits::EvaluationError({true, "transient", res.error, 0}, {1.0});
+    return {res.trace("out").back()};
+  }
+
+  /// Options of every call so far, in call order.
+  [[nodiscard]] const std::vector<SimulatorOptions>& seen() const { return seen_; }
+
+ private:
+  std::string name_ = "rc-probe";
+  circuits::SizingSpec sizing_;
+  circuits::PerformanceSpec performance_;
+  mutable std::vector<SimulatorOptions> seen_;
+};
+
+TEST(Recovery, EscalationLevelsShapeTheRetryOptions) {
+  // Every attempt fails; the engine's two retries escalate the ladder.
+  const auto probe = std::make_shared<RcProbe>();
+  core::EngineConfig config;
+  config.cache_capacity = 0;
+  config.max_eval_retries = 2;
+  core::EvaluationEngine engine(probe, config);
+  {
+    const FaultPlan all = one_site(0, kAll, FaultPlan::Kind::NonConverge);
+    ScopedFaults guard(&all);
+    (void)engine.evaluate_one(std::vector<double>{1e3}, pdk::typical_corner(), {});
+  }
+  ASSERT_EQ(probe->seen().size(), 3u);
+  EXPECT_FALSE(probe->seen()[0].recovery.enabled);
+  EXPECT_TRUE(probe->seen()[1].recovery.enabled);
+  const SimulatorOptions& o = probe->seen()[2];
+  EXPECT_TRUE(o.recovery.enabled);
+  EXPECT_GT(o.recovery.max_gmin_rungs, RecoveryPolicy{}.max_gmin_rungs);
+  EXPECT_GT(o.recovery.max_step_cuts, RecoveryPolicy{}.max_step_cuts);
+  // Nothing stays installed on this thread once the call returns.
+  EXPECT_FALSE(current_context().options.recovery.enabled);
 }
 
 struct SalFixture {
@@ -399,7 +439,7 @@ struct SalFixture {
 };
 
 TEST(EngineFunnel, BackendsRaiseStructuredErrorsWithPenaltyMetrics) {
-  reset_simulator_defaults();
+  const ScopedTestContext warm;
   SalFixture fx;
   thread_local_dc_cache().clear();
   const FaultPlan all = one_site(0, kAll, FaultPlan::Kind::NonConverge);
@@ -416,7 +456,7 @@ TEST(EngineFunnel, BackendsRaiseStructuredErrorsWithPenaltyMetrics) {
 }
 
 TEST(EngineFunnel, PenaltyPathIsTheDefaultAndNeverThrows) {
-  reset_simulator_defaults();
+  const ScopedTestContext warm;
   SalFixture fx;
   core::EngineConfig config;
   config.cache_capacity = 0;
@@ -429,11 +469,10 @@ TEST(EngineFunnel, PenaltyPathIsTheDefaultAndNeverThrows) {
   const core::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.degraded_evals, 0u);
-  reset_simulator_defaults();
 }
 
 TEST(EngineFunnel, EscalatedRetryRecoversATransientFault) {
-  reset_simulator_defaults();
+  const ScopedTestContext warm;
   SalFixture fx;
 
   // Reference metrics and the per-evaluation solve budget F: a clean run's
@@ -474,13 +513,12 @@ TEST(EngineFunnel, EscalatedRetryRecoversATransientFault) {
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.degraded_evals, 0u);
   EXPECT_EQ(stats.requested, 1u);
-  // The escalation level never leaks to neighboring evaluations.
-  EXPECT_EQ(recovery_escalation(), 0);
-  reset_simulator_defaults();
+  // The escalated options never leak to neighboring evaluations.
+  EXPECT_FALSE(current_context().options.recovery.enabled);
 }
 
 TEST(EngineFunnel, DegradationQuarantinesToTheBehavioralSibling) {
-  reset_simulator_defaults();
+  const ScopedTestContext warm;
   SalFixture fx;
   ASSERT_NE(fx.tb->degraded_fallback(), nullptr);
 
@@ -499,29 +537,25 @@ TEST(EngineFunnel, DegradationQuarantinesToTheBehavioralSibling) {
   EXPECT_EQ(metrics, expected);
   const core::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.degraded_evals, 1u);
-  reset_simulator_defaults();
 }
 
 TEST(EngineFunnel, StatsSurfaceTheRecoveryCounters) {
-  reset_simulator_defaults();
-  SalFixture fx;
-  core::EvaluationEngine engine(fx.tb, core::EngineConfig{});
-  // Process-wide recovery counters noted after engine construction surface
-  // in EngineStats as deltas against the construction snapshot (the same
-  // convention as the dc_warm_* counters).
-  const Circuit ckt = rc_circuit();
+  // The recovery counters of the engine's own calls surface in EngineStats
+  // (the same convention as the dc_warm_* counters); the ladder is armed by
+  // the engine's config reaching the simulator.
+  const auto probe = std::make_shared<RcProbe>();
+  core::EngineConfig config;
+  config.recovery = true;
+  core::EvaluationEngine engine(probe, config);
   const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
   ScopedFaults guard(&fp);
-  SimulatorOptions armed;
-  armed.recovery.enabled = true;
-  Simulator sim(ckt, armed);
-  const TransientResult res = sim.transient(rc_spec());
-  ASSERT_TRUE(res.ok) << res.error;
+  (void)engine.evaluate_one(std::vector<double>{1e3}, pdk::typical_corner(), {});
+  ASSERT_EQ(probe->seen().size(), 1u);
+  EXPECT_TRUE(probe->seen()[0].recovery.enabled);
   const core::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.recovered_transient, 1u);
   EXPECT_EQ(stats.deadline_aborts, 0u);
   EXPECT_EQ(stats.retries, 0u);
-  reset_simulator_defaults();
 }
 
 }  // namespace

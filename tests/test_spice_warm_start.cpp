@@ -1,6 +1,7 @@
 // DC warm-start tests: the per-thread cache of converged operating points,
-// the iteration-count win from seeding Newton across mismatch draws, and the
-// guarantee that warm starts never move converged solutions beyond vtol.
+// the iteration-count win from seeding Newton across mismatch draws, warm
+// results of deciding designs staying within vtol of cold ones, and the
+// cache keys keeping testbenches, polarities and MOS models apart.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,7 @@
 #include "spice/circuit.hpp"
 #include "spice/simulator.hpp"
 #include "spice/warm_start.hpp"
+#include "spice_test_context.hpp"
 
 namespace glova::spice {
 namespace {
@@ -118,7 +120,7 @@ TEST(DcWarmStart, BogusWarmStartFallsBackToColdPath) {
 }
 
 TEST(DcWarmStart, CacheLruEvictionAndStats) {
-  reset_warm_start_stats();
+  const ScopedTestContext counted;
   DcWarmStartCache cache(2);
   OpResult op;
   op.converged = true;
@@ -140,7 +142,7 @@ TEST(DcWarmStart, CacheLruEvictionAndStats) {
   cache.store(key(9), unconverged);  // not worth caching
   EXPECT_EQ(cache.lookup(key(9)), nullptr);
 
-  const WarmStartStats stats = warm_start_stats();
+  const WarmStartStats stats = counted.sink().warm();
   EXPECT_EQ(stats.stores, 3u);
   EXPECT_GE(stats.hits, 3u);
   EXPECT_GE(stats.misses, 3u);
@@ -149,17 +151,19 @@ TEST(DcWarmStart, CacheLruEvictionAndStats) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(DcWarmStart, KeyDistinguishesDesignCornerAndTag) {
+TEST(DcWarmStart, KeyDistinguishesDesignCornerTagAndModel) {
+  constexpr MosModel kL1 = MosModel::kLevel1;
   const std::vector<double> x1 = {1e-6, 2e-6};
   std::vector<double> x2 = x1;
   x2[1] += 1e-9;
-  const auto k1 = make_dc_key(1, x1, pdk::typical_corner());
-  EXPECT_EQ(k1, make_dc_key(1, x1, pdk::typical_corner()));
-  EXPECT_NE(k1, make_dc_key(2, x1, pdk::typical_corner()));
-  EXPECT_NE(k1, make_dc_key(1, x2, pdk::typical_corner()));
+  const auto k1 = make_dc_key(1, kL1, x1, pdk::typical_corner());
+  EXPECT_EQ(k1, make_dc_key(1, kL1, x1, pdk::typical_corner()));
+  EXPECT_NE(k1, make_dc_key(2, kL1, x1, pdk::typical_corner()));
+  EXPECT_NE(k1, make_dc_key(1, kL1, x2, pdk::typical_corner()));
+  EXPECT_NE(k1, make_dc_key(1, MosModel::kEkv, x1, pdk::typical_corner()));
   pdk::PvtCorner hot = pdk::typical_corner();
   hot.temp_c += 50.0;
-  EXPECT_NE(k1, make_dc_key(1, x1, hot));
+  EXPECT_NE(k1, make_dc_key(1, kL1, x1, hot));
 }
 
 TEST(DcWarmStart, SalEvaluateWarmMatchesColdWithinTolerance) {
@@ -169,18 +173,16 @@ TEST(DcWarmStart, SalEvaluateWarmMatchesColdWithinTolerance) {
   const auto layout = sal.mismatch_layout(x, true);
   const auto hs = pdk::sample_mismatch_set(layout, 3, rng, pdk::GlobalMode::PerSample);
 
-  set_dc_warm_start_enabled(false);
+  // No context installed: the cold defaults.
   std::vector<std::vector<double>> cold;
   for (const auto& h : hs) cold.push_back(sal.evaluate(x, pdk::typical_corner(), h));
 
   thread_local_dc_cache().clear();
-  reset_warm_start_stats();
-  set_dc_warm_start_enabled(true);
+  const ScopedTestContext warm_on;
   std::vector<std::vector<double>> warm;
   for (const auto& h : hs) warm.push_back(sal.evaluate(x, pdk::typical_corner(), h));
-  set_dc_warm_start_enabled(true);  // leave the default in place
 
-  const WarmStartStats stats = warm_start_stats();
+  const WarmStartStats stats = warm_on.sink().warm();
   EXPECT_EQ(stats.misses, 1u);  // first draw seeds the cache
   EXPECT_EQ(stats.stores, 1u);
   EXPECT_EQ(stats.hits, 2u);    // subsequent draws of the same design hit
@@ -212,20 +214,18 @@ TEST_P(NewBackendWarmStart, HitCountersRiseAndWarmMatchesCold) {
   const auto layout = tb->mismatch_layout(x, false);
   const auto hs = pdk::sample_mismatch_set(layout, 3, rng, pdk::GlobalMode::Zero);
 
-  set_dc_warm_start_enabled(false);
   std::vector<std::vector<double>> cold;
   for (const auto& h : hs) cold.push_back(tb->evaluate(x, pdk::typical_corner(), h));
 
   thread_local_dc_cache().clear();
-  reset_warm_start_stats();
-  set_dc_warm_start_enabled(true);
+  const ScopedTestContext warm_on;
   std::vector<std::vector<double>> warm;
   for (const auto& h : hs) warm.push_back(tb->evaluate(x, pdk::typical_corner(), h));
 
   // The DRAM testbench runs one transient per data polarity (two cache
   // entries per design); the FIA runs one.
   const std::uint64_t solves_per_eval = tc == circuits::Testcase::DramOcsa ? 2u : 1u;
-  const WarmStartStats stats = warm_start_stats();
+  const WarmStartStats stats = warm_on.sink().warm();
   EXPECT_EQ(stats.misses, solves_per_eval);          // first draw seeds the cache
   EXPECT_EQ(stats.stores, solves_per_eval);
   EXPECT_EQ(stats.hits, 2u * solves_per_eval);       // later draws hit
@@ -248,23 +248,39 @@ TEST(DcWarmStart, PolaritiesAndTestbenchesDoNotShareSeeds) {
   // once from a cold cache must only ever miss (no cross-testbench or
   // cross-polarity hits).
   thread_local_dc_cache().clear();
-  reset_warm_start_stats();
-  set_dc_warm_start_enabled(true);
+  const ScopedTestContext warm_on;
   for (const auto tc : circuits::all_testcases()) {
     const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
     std::vector<double> x01(tb->sizing().dimension(), 0.45);
     const auto x = tb->sizing().denormalize(x01);
     (void)tb->evaluate(x, pdk::typical_corner(), {});
   }
-  const WarmStartStats stats = warm_start_stats();
+  const WarmStartStats stats = warm_on.sink().warm();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 4u);  // SAL + FIA + DRAM data0 + DRAM data1
   EXPECT_EQ(stats.stores, 4u);
 }
 
+// An ekv operating point is no seed for a level1 solve: on one thread, the
+// level1 evaluation of a (design, corner) the ekv one just cached misses.
+TEST(DcWarmStart, ModelsDoNotShareSeeds) {
+  const auto tb = circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice);
+  const auto x = sal_sizing();
+  thread_local_dc_cache().clear();
+  {
+    const ScopedTestContext ekv(warm_context(MosModel::kEkv));
+    (void)tb->evaluate(x, pdk::typical_corner(), {});
+    EXPECT_EQ(ekv.sink().warm().stores, 1u);
+  }
+  const ScopedTestContext level1(warm_context(MosModel::kLevel1));
+  (void)tb->evaluate(x, pdk::typical_corner(), {});
+  const WarmStartStats stats = level1.sink().warm();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+}
+
 TEST(DcWarmStart, EngineSurfacesWarmStartCounters) {
   thread_local_dc_cache().clear();
-  reset_warm_start_stats();
 
   core::EngineConfig cfg;
   cfg.parallelism = 1;

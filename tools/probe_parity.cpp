@@ -14,7 +14,7 @@
 
 #include "backend_parity_grid.hpp"
 #include "circuits/registry.hpp"
-#include "spice/simulator.hpp"
+#include "spice_test_context.hpp"
 
 using namespace glova;
 
@@ -25,7 +25,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "h") == 0) with_h = true;
     if (std::strcmp(argv[i], "ekv") == 0) ekv = true;
   }
-  spice::set_mos_model_default(ekv ? spice::MosModel::kEkv : spice::MosModel::kLevel1);
+  // The numerics tests/test_backend_parity.cpp asserts under.
+  const spice::ScopedTestContext numerics(
+      spice::warm_context(ekv ? spice::MosModel::kEkv : spice::MosModel::kLevel1));
   for (const auto tc : circuits::all_testcases()) {
     const auto beh = circuits::make_testbench(tc, circuits::Backend::Behavioral);
     const auto spc = circuits::make_testbench(tc, circuits::Backend::Spice);
