@@ -73,12 +73,9 @@ static void BM_SpiceBatchedDraws(benchmark::State& state) {
   // 16 mismatch draws of one SAL (design, corner) cell, the inner loop of a
   // verification batch.  Arg 0 = sequential per-draw evaluate() on the fixed
   // grid (the pre-batching path), arg 1 = the lockstep batched evaluator on
-  // the LTE-adaptive union grid — the batched production regime.  Newton
-  // LU-bypass stays off in both legs: measured slower at SAL matrix sizes
-  // (a chord iteration still pays the full companion-model evaluation, and
-  // the O(n^3) refactor it saves is noise at n~20; see BENCH_spice.json).
-  // Warm start on for both, with a per-iteration cache clear so every run
-  // is cold-equivalent.
+  // the LTE-adaptive union grid — the batched production regime.  Warm
+  // start on for both, with a per-iteration cache clear so every run is
+  // cold-equivalent.
   constexpr std::size_t kDraws = 16;
   const bool batched = state.range(0) != 0;
   spice::EvalContext numerics;

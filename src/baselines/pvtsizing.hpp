@@ -41,7 +41,6 @@ class PvtSizingOptimizer final : public core::Optimizer {
   ~PvtSizingOptimizer() override;
 
   [[nodiscard]] const char* algorithm_name() const override { return "PVTSizing"; }
-  [[nodiscard]] bool supports_state_serialization() const override { return true; }
 
  protected:
   void do_start() override;

@@ -43,7 +43,6 @@ class RobustAnalogOptimizer final : public core::Optimizer {
   ~RobustAnalogOptimizer() override;
 
   [[nodiscard]] const char* algorithm_name() const override { return "RobustAnalog"; }
-  [[nodiscard]] bool supports_state_serialization() const override { return true; }
 
  protected:
   void do_start() override;

@@ -181,8 +181,6 @@ std::vector<double> DramOcsaSubhole::evaluate(std::span<const double> x,
   // Once the rails split, the cross pair's gate drive approaches the full
   // rail (the opposing bitline swings away), so evaluate at 0.75*vdd.
   const double vov_reg = 0.75 * vdd;
-  const double i_xn = pdk::ekv_id(p[0], wol(0), vov_reg, 0.25 * vdd, temp_k);
-  const double i_xp = pdk::ekv_id(p[2], wol(2), vov_reg, 0.25 * vdd, temp_k);
   const double gm_xn = pdk::ekv_gm(p[0], wol(0), vov_reg, 0.25 * vdd, temp_k);
   const double gm_xp = pdk::ekv_gm(p[2], wol(2), vov_reg, 0.25 * vdd, temp_k);
   const double g0 = std::min(cond.gain_cap, gm_xn * cond.t_overlap / (cs + cbl) * frac_n);

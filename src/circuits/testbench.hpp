@@ -127,7 +127,7 @@ class Testbench {
   /// one lockstep batched simulation instead (spice::BatchSimulator), which
   /// amortizes netlist-independent work and keeps the Newton state of every
   /// draw hot in cache.  Semantics are identical to the loop: with adaptive
-  /// stepping and Newton bypass off the metrics are bit-identical.
+  /// stepping off the metrics are bit-identical.
   [[nodiscard]] std::vector<std::vector<double>> evaluate_draws(
       std::span<const double> x, const pdk::PvtCorner& corner,
       std::span<const std::vector<double>> hs) const;

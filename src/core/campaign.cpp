@@ -285,9 +285,9 @@ void Campaign::attach_forwarder(std::size_t index) {
 bool Campaign::retry_session(std::size_t index) {
   Session& s = sessions_[index];
   ++s.retries;
-  // Replay is observer-silent, exactly like load(): already-reported
-  // iterations must not log or forward twice, so the fresh session runs with
-  // progress_log off and no forwarder until the replay succeeded.
+  // Replay is observer-silent: already-reported iterations must not log or
+  // forward twice, so the fresh session runs with progress_log off and no
+  // forwarder until the replay succeeded.
   RunSpec quiet = s.spec;
   quiet.progress_log = false;
   std::unique_ptr<Optimizer> fresh;
@@ -359,10 +359,10 @@ bool Campaign::step() {
       ++s.steps;
       result_valid_ = false;
     } catch (const std::exception& e) {
-      // Transient-error recovery: rebuild-and-replay the session (the load()
-      // mechanism), draining the retry budget before retiring it — a
-      // deterministic failure re-throws during every replay.  On success the
-      // failed step is re-attempted on the session's next scheduling turn.
+      // Transient-error recovery: rebuild-and-replay the session, draining
+      // the retry budget before retiring it — a deterministic failure
+      // re-throws during every replay.  On success the failed step is
+      // re-attempted on the session's next scheduling turn.
       bool recovered = false;
       while (s.retries < config_.max_session_retries) {
         if (retry_session(index)) {
@@ -473,13 +473,11 @@ void Campaign::add_observer(std::shared_ptr<CampaignObserver> observer) {
 namespace {
 
 constexpr const char* kMagic = "glova-campaign";
-/// v1: in-flight sessions resume by deterministic replay.  v2 additionally
-/// records per-session retry counts and embeds each in-flight session's full
-/// serialized optimizer state (Optimizer::save_state), so load() restores
-/// them O(1) with zero step() replays.  v3 adds the persistent memo-cache
-/// directory (CampaignConfig::cache_dir), so a restarted daemon keeps
-/// re-serving previously simulated points.  All three versions load.
-constexpr int kFormatVersion = 3;
+/// The one version this build writes and reads: per-session retry counts,
+/// each stepped session's serialized optimizer state (engine-state frames
+/// version 3 inside it) and the memo-cache directory.  Earlier versions fail
+/// at the header rather than partway through a record.
+constexpr int kFormatVersion = 4;
 
 /// Sanity cap on serialized element counts (sessions, vector lengths, trace
 /// rows).  Real campaigns are orders of magnitude below this; a corrupt
@@ -548,10 +546,9 @@ void Campaign::save(std::ostream& os) const {
     if (s.terminal()) write_glova_result(os, s.result);
     if (s.state == SessionState::Running) {
       // A Running session with steps > 0 has a started optimizer; serialize
-      // its full state so load() resumes it without replay.  Otherwise (or
-      // when the algorithm has no state serialization) fall back to the v1
-      // replay mechanism, which handles steps == 0 as a fresh build.
-      if (s.steps > 0 && s.optimizer->supports_state_serialization()) {
+      // its full state so load() resumes it without replay.  "replay" marks
+      // a session not stepped yet, which load() builds fresh.
+      if (s.steps > 0) {
         os << "resume state\n";
         s.optimizer->save_state(os);
       } else {
@@ -575,7 +572,6 @@ void Campaign::save_file(const std::string& path) const {
 
 Campaign Campaign::load(std::istream& is,
                         std::function<circuits::TestbenchPtr(const RunSpec&)> make_testbench) {
-  int version = 0;
   {
     std::string magic;
     std::string version_text;
@@ -584,15 +580,10 @@ Campaign Campaign::load(std::istream& is,
     std::istringstream line(header);
     line >> magic >> version_text;
     if (magic != kMagic) bad_checkpoint("not a campaign checkpoint (bad magic '" + magic + "')");
-    if (version_text == "v1") {
-      version = 1;
-    } else if (version_text == "v2") {
-      version = 2;
-    } else if (version_text == "v3") {
-      version = 3;
-    } else {
-      bad_checkpoint("unsupported format version '" + version_text +
-                     "' (this build reads v1, v2 and v3)");
+    const std::string current = "v" + std::to_string(kFormatVersion);
+    if (version_text != current) {
+      bad_checkpoint("unsupported format version '" + version_text + "' (this build reads " +
+                     current + ")");
     }
   }
 
@@ -602,7 +593,7 @@ Campaign Campaign::load(std::istream& is,
       parse_u64_field(expect_line(is, "max_total_simulations"), "max_total_simulations");
   campaign.config_.steps_per_turn = static_cast<std::size_t>(
       parse_u64_field(expect_line(is, "steps_per_turn"), "steps_per_turn"));
-  if (version >= 3) campaign.config_.cache_dir = expect_line(is, "cache_dir");
+  campaign.config_.cache_dir = expect_line(is, "cache_dir");
   campaign.cursor_ = static_cast<std::size_t>(parse_u64_field(expect_line(is, "cursor"), "cursor"));
   const std::size_t count =
       static_cast<std::size_t>(parse_u64_field(expect_line(is, "sessions"), "sessions"));
@@ -622,73 +613,37 @@ Campaign Campaign::load(std::istream& is,
     if (!state) bad_checkpoint("unknown session state '" + state_name + "'");
     s.state = *state;
     s.steps = static_cast<std::size_t>(parse_u64_field(expect_line(is, "steps"), "steps"));
-    if (version >= 2) {
-      s.retries =
-          static_cast<std::size_t>(parse_u64_field(expect_line(is, "retries"), "retries"));
-    }
+    s.retries = static_cast<std::size_t>(parse_u64_field(expect_line(is, "retries"), "retries"));
     if (s.state == SessionState::Failed) s.error = expect_line(is, "error");
-    if (s.terminal()) s.result = read_glova_result(is);
-    if (version >= 2 && s.state == SessionState::Running) {
-      const std::string mode = expect_line(is, "resume");
-      if (mode == "state") {
-        // Replay-free resume: build a fresh session and restore its full
-        // serialized state in place — O(1), zero optimizer step() replays.
-        // Built observer-quiet like the replay path; the ProgressLogObserver
-        // and forwarder attach below, seeing only new iterations.
-        RunSpec quiet = s.spec;
-        quiet.progress_log = false;
-        s.optimizer = campaign.build_optimizer(quiet);
-        s.optimizer->load_state(is);
-      } else if (mode != "replay") {
-        bad_checkpoint("unknown resume mode '" + mode + "'");
-      }
-    }
-    campaign.sessions_.push_back(std::move(s));
-  }
-  (void)expect_line(is, "end");
-  if (campaign.cursor_ >= count && count > 0) bad_checkpoint("cursor out of range");
-
-  // Rebuild the remaining in-flight sessions by deterministic replay: a
-  // fresh session re-stepped to its recorded count reaches the same state as
-  // the one that was checkpointed (fixed-seed determinism, pinned by the
-  // parity tests).  Replay is observer-silent: forwarders attach afterwards
-  // (observers added post-load see only new iterations), and the spec's
-  // ProgressLogObserver is attached after replay too so already-reported
-  // iterations do not log twice.
-  for (std::size_t i = 0; i < campaign.sessions_.size(); ++i) {
-    Session& s = campaign.sessions_[i];
-    if (s.terminal()) continue;
-    if (!s.optimizer) {
+    if (s.terminal()) {
+      s.result = read_glova_result(is);
+    } else {
+      // Built observer-quiet; the ProgressLogObserver and forwarder attach
+      // after the state is restored, so they see only iterations run after
+      // the load.  A Running session that has stepped restores its
+      // serialized state in place (zero step() replays); "resume replay"
+      // marks one that has not stepped yet and keeps the fresh build.
       RunSpec quiet = s.spec;
       quiet.progress_log = false;
       s.optimizer = campaign.build_optimizer(quiet);
-      const std::size_t replay = s.steps;
-      s.steps = 0;
-      for (std::size_t k = 0; k < replay; ++k) {
-        try {
-          if (!s.optimizer->step()) break;
-          ++s.steps;
-        } catch (const std::exception& e) {
-          campaign.retire_failed(i, e.what());
-          break;
+      if (s.state == SessionState::Running) {
+        const std::string mode = expect_line(is, "resume");
+        if (mode == "state") {
+          s.optimizer->load_state(is);
+        } else if (mode != "replay") {
+          bad_checkpoint("unknown resume mode '" + mode + "'");
+        } else if (s.steps != 0) {
+          bad_checkpoint("session " + std::to_string(i) + " has 'resume replay' after " +
+                         std::to_string(s.steps) + " steps (replay means not stepped yet)");
         }
       }
-      if (s.steps != replay && s.state != SessionState::Failed) {
-        bad_checkpoint("replay of session " + std::to_string(i) + " stopped after " +
-                       std::to_string(s.steps) + " of " + std::to_string(replay) + " steps");
-      }
-      if (!s.terminal() && s.optimizer->done()) {
-        // A replayed session should stop strictly before termination (it was
-        // live at save time); tolerate drift by retiring it cleanly.
-        s.state = SessionState::Running;
-        campaign.retire_finished(i);
-      }
-    }
-    if (!s.terminal()) {
       if (s.spec.progress_log) s.optimizer->add_observer(std::make_shared<ProgressLogObserver>());
-      campaign.attach_forwarder(i);
     }
+    campaign.sessions_.push_back(std::move(s));
+    if (!campaign.sessions_.back().terminal()) campaign.attach_forwarder(i);
   }
+  (void)expect_line(is, "end");
+  if (campaign.cursor_ >= count && count > 0) bad_checkpoint("cursor out of range");
   return campaign;
 }
 

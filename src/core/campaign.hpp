@@ -16,16 +16,13 @@
 //
 // Checkpoint/resume: save() serializes the campaign — config, cursor, every
 // session's spec (the way RunSpec already round-trips through text), its
-// step count, the full result of each terminal session, and (v2) the full
-// serialized optimizer state of each in-flight session — to a versioned text
-// format.  load() restores in-flight sessions O(1) from that state, without
-// replaying a single optimizer step; v1 checkpoints (and algorithms without
-// state serialization) fall back to deterministic replay (re-stepping a
-// freshly built session to its recorded step count).  Sessions are
-// fixed-seed deterministic by construction (pinned by the run/step parity
-// tests), so a resumed campaign produces bit-identical results to an
-// uninterrupted one; tests/test_campaign.cpp and tests/test_resume_state.cpp
-// pin that parity.
+// step count, the full result of each terminal session, and the full
+// serialized optimizer state of each session that has stepped — to a text
+// format with one version (glova-campaign v4).  load() restores those
+// sessions O(1) from their state, without replaying a single optimizer
+// step, and builds the not-yet-stepped ones fresh.  A resumed campaign
+// produces bit-identical results to an uninterrupted one;
+// tests/test_campaign.cpp and tests/test_resume_state.cpp pin that parity.
 // The one caveat: wall-clock budgets (RunSpec::budget.max_wall_seconds) and
 // SPICE DC warm-start caches are inherently timing/thread dependent — specs
 // that rely on them resume correctly but only agree to solver tolerance
@@ -82,16 +79,16 @@ struct CampaignConfig {
   std::size_t steps_per_turn = 1;
   /// Per-session retry budget for throwing steps.  A session whose step()
   /// throws is rebuilt and deterministically replayed to its recorded step
-  /// count (the same mechanism load() uses), then resumes; only when the
-  /// budget is exhausted — a deterministic failure re-throws on every retry —
-  /// is it retired as Failed.  0 = retire on the first throw (legacy).
+  /// count (sessions are fixed-seed deterministic), then resumes; only when
+  /// the budget is exhausted — a deterministic failure re-throws on every
+  /// retry — is it retired as Failed.  0 = retire on the first throw (legacy).
   std::size_t max_session_retries = 0;
   /// Directory for persistent memo-cache files (empty = off).  Every session
   /// whose spec leaves engine.cache_path unset gets one assigned here, named
   /// by its (testcase, backend, numerics-config) tag, so a campaign re-run —
   /// or a glova-serve restart — re-serves previously simulated points with
   /// zero evaluations.  A spec with its own cache_path keeps it.  Saved in
-  /// checkpoints (format v3) and restored by load().
+  /// checkpoints and restored by load().
   std::string cache_dir;
   /// Testbench factory override (custom circuits, failure-injection tests).
   /// Default: the circuits registry, with one shared testbench instance per
@@ -211,14 +208,15 @@ class Campaign {
   void save_file(const std::string& path) const;
 
   /// Reconstruct a campaign from save() output.  Terminal sessions restore
-  /// their recorded results directly; in-flight sessions restore O(1) from
-  /// their serialized optimizer state (v2) — zero step() replays — or, for
-  /// v1 checkpoints and algorithms without state serialization, are rebuilt
-  /// via make_optimizer and deterministically replayed to their recorded
-  /// step count.  Either way resuming continues bit-identically (fixed
-  /// seeds, no wall-clock budgets).  `make_testbench` must match the factory
-  /// the saved campaign was constructed with (empty = registry default).
-  /// Throws std::runtime_error on malformed input or version mismatch.
+  /// their recorded results directly; sessions that have stepped restore
+  /// O(1) from their serialized optimizer state (zero step() replays), and
+  /// the rest are built fresh via make_optimizer.  Resuming continues
+  /// bit-identically (fixed seeds, no wall-clock budgets).  `make_testbench`
+  /// must match the factory the saved campaign was constructed with (empty =
+  /// registry default).  Reads only the current format version; throws
+  /// std::runtime_error naming that version on any other, and on malformed
+  /// input (including a `resume replay` record after a non-zero step
+  /// count).
   static Campaign load(std::istream& is,
                        std::function<circuits::TestbenchPtr(const RunSpec&)> make_testbench = {});
   /// load() from a file; throws std::runtime_error when unreadable.
@@ -237,7 +235,7 @@ class Campaign {
   [[nodiscard]] std::unique_ptr<Optimizer> build_optimizer(const RunSpec& spec);
   void attach_forwarder(std::size_t index);
   /// Rebuild session `index` from its spec and deterministically replay it to
-  /// its recorded step count (the load() mechanism).  Returns false — leaving
+  /// its recorded step count.  Returns false — leaving
   /// the session untouched — when the replay itself throws or falls short.
   [[nodiscard]] bool retry_session(std::size_t index);
   void retire_finished(std::size_t index);

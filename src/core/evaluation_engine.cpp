@@ -21,6 +21,9 @@ namespace glova::core {
 
 namespace {
 
+/// The one engine-state frame version this build writes and reads.
+constexpr std::uint64_t kEngineStateVersion = 3;
+
 /// EngineStats fields counted in the engine's spice::CounterSink, in the
 /// order of the engine-state `carried` line.
 using SinkCounter = spice::CounterSink::Counter spice::CounterSink::*;
@@ -30,8 +33,6 @@ constexpr std::pair<std::uint64_t EngineStats::*, SinkCounter> kSinkFields[] = {
     {&EngineStats::dc_warm_stores, &spice::CounterSink::warm_stores},
     {&EngineStats::batch_groups, &spice::CounterSink::batch_groups},
     {&EngineStats::batch_lanes, &spice::CounterSink::batch_lanes},
-    {&EngineStats::bypass_solves, &spice::CounterSink::bypass_solves},
-    {&EngineStats::bypass_refactors, &spice::CounterSink::bypass_refactors},
     {&EngineStats::steps_accepted, &spice::CounterSink::steps_accepted},
     {&EngineStats::steps_rejected, &spice::CounterSink::steps_rejected},
     {&EngineStats::recovered_dc, &spice::CounterSink::recovered_dc},
@@ -74,7 +75,6 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
   spice::SimulatorOptions& options = context_.options;
   options.mos_model = config_.mos_model == "ekv" ? spice::MosModel::kEkv : spice::MosModel::kLevel1;
   options.adaptive_timestep = config_.adaptive_timestep;
-  options.newton_bypass = config_.newton_bypass;
   options.recovery.enabled = config_.recovery;
   options.deadline_newton_iterations = config_.eval_deadline_steps;
   context_.dc_warm_start = config_.dc_warm_start;
@@ -575,19 +575,15 @@ void EvaluationEngine::clear_cache() {
 }
 
 void EvaluationEngine::save_state(std::ostream& os) const {
-  // v1 when the surrogate is off — byte-identical to every earlier release,
-  // so surrogate-free checkpoints keep their pinned golden bytes.  v2 adds
-  // the surrogate funnel counters and (when built) the model state.
-  const bool v2 = config_.surrogate;
-  os << "engine-state " << (v2 ? 2 : 1) << '\n';
+  os << "engine-state " << kEngineStateVersion << '\n';
   os << "counters " << requested_.load() << ' ' << executed_.load() << ' ' << cache_hits_.load()
      << ' ' << retries_.load() << ' ' << degraded_evals_.load() << '\n';
   os << "carried";
   for (const auto& field : kSinkFields) os << ' ' << (sink_.*field.second).load();
   os << '\n';
-  if (v2) {
-    os << "surrogate-counters " << surrogate_prunes_.load() << ' ' << surrogate_confirms_.load()
-       << '\n';
+  os << "surrogate-counters " << surrogate_prunes_.load() << ' ' << surrogate_confirms_.load()
+     << '\n';
+  {
     const std::lock_guard<std::mutex> slock(surrogate_mutex_);
     if (surrogate_ && surrogate_->built()) {
       os << "surrogate-model 1\n";
@@ -610,9 +606,9 @@ void EvaluationEngine::save_state(std::ostream& os) const {
 void EvaluationEngine::load_state(std::istream& is) {
   const std::uint64_t version =
       state::parse_u64(state::expect_line(is, "engine-state"), "engine-state version");
-  if (version != 1 && version != 2) {
+  if (version != kEngineStateVersion) {
     state::bad("unsupported engine-state version " + std::to_string(version) +
-               " (this build reads 1 and 2)");
+               " (this build reads " + std::to_string(kEngineStateVersion) + ")");
   }
   {
     std::istringstream line(state::expect_line(is, "counters"));
@@ -634,7 +630,7 @@ void EvaluationEngine::load_state(std::istream& is) {
     }
     for (const auto& [stat, counter] : kSinkFields) (sink_.*counter).store(c.*stat);
   }
-  if (version >= 2) {
+  {
     std::istringstream line(state::expect_line(is, "surrogate-counters"));
     std::uint64_t prunes = 0, confirms = 0;
     if (!(line >> prunes >> confirms)) state::bad("malformed surrogate counters");

@@ -51,8 +51,8 @@ struct SimulationCost {
 };
 
 /// The SPICE numerics knobs below (dc_warm_start, adaptive_timestep,
-/// newton_bypass, recovery, eval_deadline_steps, mos_model, spice_noise)
-/// apply per engine: the engine turns them into one spice::EvalContext at
+/// recovery, eval_deadline_steps, mos_model, spice_noise) apply per
+/// engine: the engine turns them into one spice::EvalContext at
 /// construction and installs it on the calling thread around each testbench
 /// call it makes, so engines with different configs can share a process and
 /// its worker threads.  A testbench called outside any engine runs the cold
@@ -81,15 +81,12 @@ struct EngineConfig {
   /// batched evaluator (spice::BatchSimulator lockstep marching) when it
   /// supports one.  Cache misses of one evaluate_batch() call become one
   /// batched group; memoization and DC warm starts compose as usual.  Off by
-  /// default: with adaptive stepping and bypass off the batched metrics are
+  /// default: with adaptive stepping off the batched metrics are
   /// bit-identical, but the sequential path stays the reference.
   bool batched_draws = false;
   /// LTE-adaptive timestep control in the SPICE transient.  Changes metric
   /// values within the controller's truncation-error tolerance.
   bool adaptive_timestep = false;
-  /// Newton LU-bypass (chord iterations on retained factors).  Changes
-  /// metrics within Newton vtol.
-  bool newton_bypass = false;
   /// Convergence-recovery ladder in the SPICE engine: gmin stepping for hard
   /// DC points, substep cutting and restart-from-DC for transient Newton
   /// failures.  Off by default — with every recovery knob off, solves are
@@ -164,11 +161,12 @@ struct EngineStats {
   std::uint64_t dc_warm_misses = 0;
   std::uint64_t dc_warm_stores = 0;
   /// Simulator-level activity (same per-engine convention as the dc_warm_*
-  /// counters): batched draw groups and their total lanes, chord solves vs
-  /// refactors under Newton bypass, and the adaptive timestep controller's
-  /// accepted/rejected step totals.
+  /// counters): batched draw groups and their total lanes, and the adaptive
+  /// timestep controller's accepted/rejected step totals.
   std::uint64_t batch_groups = 0;
   std::uint64_t batch_lanes = 0;
+  /// Always zero: the Newton LU-bypass is gone, but the frozen benchmark
+  /// program still sums these two; delete them at the next benchmark change.
   std::uint64_t bypass_solves = 0;
   std::uint64_t bypass_refactors = 0;
   std::uint64_t steps_accepted = 0;
@@ -259,10 +257,10 @@ class EvaluationEngine {
   /// hit/miss pattern.  The engine's SPICE counters go in the `carried` line,
   /// so stats() of a restored engine in a fresh process continues from the
   /// saved totals.  Configuration is NOT serialized — `load_state` expects an
-  /// engine constructed with the same EngineConfig and testbench.  With the surrogate off the frame is the
-  /// byte-identical v1 of previous releases; surrogate mode writes v2, which
-  /// adds the speculative-evaluation counters and model.  load_state reads
-  /// both.
+  /// engine constructed with the same EngineConfig and testbench.  The frame
+  /// is `engine-state 3` whether or not the surrogate is on (its counters
+  /// read 0 and no model is stored when it is off); load_state rejects every
+  /// other version.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 

@@ -60,7 +60,6 @@ class GlovaOptimizer final : public Optimizer {
 
   [[nodiscard]] const OperationalConfig& operational_config() const { return op_config_; }
   [[nodiscard]] const char* algorithm_name() const override { return "GLOVA"; }
-  [[nodiscard]] bool supports_state_serialization() const override { return true; }
 
  protected:
   void do_start() override;

@@ -91,21 +91,7 @@ double Optimizer::elapsed_seconds() const {
          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
 }
 
-void Optimizer::do_save_state(std::ostream&) const {
-  throw std::logic_error(std::string(algorithm_name()) +
-                         ": state serialization not implemented");
-}
-
-void Optimizer::do_load_state(std::istream&) {
-  throw std::logic_error(std::string(algorithm_name()) +
-                         ": state serialization not implemented");
-}
-
 void Optimizer::save_state(std::ostream& os) const {
-  if (!supports_state_serialization()) {
-    throw std::logic_error(std::string(algorithm_name()) +
-                           ": state serialization not supported");
-  }
   if (!started_ || finished_) {
     throw std::logic_error(
         "Optimizer::save_state: only a live (started, unfinished) session can be serialized; "
@@ -119,10 +105,6 @@ void Optimizer::save_state(std::ostream& os) const {
 }
 
 void Optimizer::load_state(std::istream& is) {
-  if (!supports_state_serialization()) {
-    throw std::logic_error(std::string(algorithm_name()) +
-                           ": state serialization not supported");
-  }
   if (started_ || finished_) {
     throw std::logic_error("Optimizer::load_state: requires a fresh session (no step() yet)");
   }

@@ -139,11 +139,6 @@ class Optimizer {
 
   [[nodiscard]] virtual const char* algorithm_name() const = 0;
 
-  /// True when the algorithm implements replay-free state serialization
-  /// (save_state/load_state below).  Campaign checkpoints fall back to
-  /// deterministic replay for algorithms that return false.
-  [[nodiscard]] virtual bool supports_state_serialization() const { return false; }
-
   /// Serialize the live session — the partial result plus the algorithm's
   /// full internal state (agent weights, RNG streams, buffers, engine
   /// counters/cache) — so an identically configured fresh session restored
@@ -181,10 +176,8 @@ class Optimizer {
   /// Algorithm-specific result fields beyond the common finalization.
   virtual void do_finalize(GlovaResult& /*result*/) {}
   /// Algorithm-specific state serialization behind save_state()/load_state().
-  /// The default implementations throw std::logic_error; algorithms that
-  /// override both also override supports_state_serialization().
-  virtual void do_save_state(std::ostream& os) const;
-  virtual void do_load_state(std::istream& is);
+  virtual void do_save_state(std::ostream& os) const = 0;
+  virtual void do_load_state(std::istream& is) = 0;
   [[nodiscard]] virtual const EvaluationEngine* engine_ptr() const = 0;
   [[nodiscard]] virtual const SimulationCost& cost() const = 0;
 

@@ -128,8 +128,8 @@ const std::vector<std::string_view>& run_spec_keys() {
       "min_parallel_batch", "cache_capacity",
       "cache_quantum",   "dc_warm_start",
       "batched_draws",   "adaptive_timestep",
-      "newton_bypass",   "recovery",
-      "mos_model",       "spice_noise",
+      "recovery",        "mos_model",
+      "spice_noise",
       "max_eval_retries", "eval_deadline_steps",
       "degrade_to_behavioral", "cache_path",
       "surrogate",       "surrogate_keep",
@@ -169,7 +169,6 @@ std::string RunSpec::to_string() const {
   kv("dc_warm_start", engine.dc_warm_start ? "1" : "0");
   kv("batched_draws", engine.batched_draws ? "1" : "0");
   kv("adaptive_timestep", engine.adaptive_timestep ? "1" : "0");
-  kv("newton_bypass", engine.newton_bypass ? "1" : "0");
   kv("recovery", engine.recovery ? "1" : "0");
   kv("mos_model", engine.mos_model);
   kv("spice_noise", engine.spice_noise ? "1" : "0");
@@ -259,8 +258,6 @@ RunSpec RunSpec::from_string(std::string_view text) {
       spec.engine.batched_draws = parse_bool(key, value);
     } else if (key == "adaptive_timestep") {
       spec.engine.adaptive_timestep = parse_bool(key, value);
-    } else if (key == "newton_bypass") {
-      spec.engine.newton_bypass = parse_bool(key, value);
     } else if (key == "recovery") {
       spec.engine.recovery = parse_bool(key, value);
     } else if (key == "mos_model") {

@@ -257,203 +257,95 @@ void BatchSimulator::solve_step(double time, double dt, bool trapezoidal) {
       fail_[l] = 1;
       iter_spent_[l] = options_.max_newton_iterations;
     }
-    if (options_.newton_bypass) {
-      // Chord stall detection is scoped to one solve: the first residual of
-      // a new timestep is always "fresh", never compared against the tiny
-      // converged residual the previous solve ended on.
-      res_prev_[l] = std::numeric_limits<double>::infinity();
-    }
   }
 
   const std::size_t n_dev = plans_[0].mos_stamps().size();
 
-  if (!options_.newton_bypass) {
-    // --- full Newton, lockstep across lanes --------------------------------
-    for (int it = 0; it < options_.max_newton_iterations; ++it) {
-      act_.clear();
-      for (std::size_t l = 0; l < lanes; ++l) {
-        if (alive_[l] && !done_[l] && !fail_[l]) act_.push_back(l);
-      }
-      if (act_.empty()) break;
+  // --- full Newton, lockstep across lanes ----------------------------------
+  for (int it = 0; it < options_.max_newton_iterations; ++it) {
+    act_.clear();
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if (alive_[l] && !done_[l] && !fail_[l]) act_.push_back(l);
+    }
+    if (act_.empty()) break;
 
-      // Assembly: per-lane linear load, then the device-major companion pass.
-      act_g_.clear();
-      act_rhs_.clear();
-      act_x_.clear();
-      for (const std::size_t l : act_) {
-        DenseMatrix& g = ws_->solvers[l].matrix(n);
-        plans_[l].load_static(g, ws_->lane_rhs(l));
-        act_g_.push_back(g.data());
-        act_rhs_.push_back(ws_->rhs.data() + l * ws_->rhs_stride);
-        act_x_.push_back(ws_->x.data() + l * ws_->x_stride);
-      }
-      for (std::size_t di = 0; di < n_dev; ++di) {
-        for (std::size_t k = 0; k < act_.size(); ++k) {
-          const StampPlan::MosStamp& ms = plans_[act_[k]].mos_stamps()[di];
-          const double* __restrict xl = act_x_[k];
-          double* __restrict gd = act_g_[k];
-          double* __restrict rd = act_rhs_[k];
-          const double vg = xl[ms.xg];
-          const double vd = xl[ms.xd];
-          const double vs = xl[ms.xs];
-          const MosLinearization lin =
-              mos_linearize(options_.mos_model, *ms.params, ms.w_over_l, vg, vd, vs);
-          const double i_eq = lin.i_ds - ms.mg * (lin.d_vg * vg) - ms.md * (lin.d_vd * vd) -
-                              ms.ms * (lin.d_vs * vs);
-          gd[ms.j_dg] += lin.d_vg;
-          gd[ms.j_dd] += lin.d_vd;
-          gd[ms.j_ds] += lin.d_vs;
-          rd[ms.rhs_d] -= i_eq;
-          gd[ms.j_sg] -= lin.d_vg;
-          gd[ms.j_sd] -= lin.d_vd;
-          gd[ms.j_ss] -= lin.d_vs;
-          rd[ms.rhs_s] += i_eq;
-        }
-      }
-
-      // Solve + damped update per lane (identical to newton_solve_plan).
+    // Assembly: per-lane linear load, then the device-major companion pass.
+    act_g_.clear();
+    act_rhs_.clear();
+    act_x_.clear();
+    for (const std::size_t l : act_) {
+      DenseMatrix& g = ws_->solvers[l].matrix(n);
+      plans_[l].load_static(g, ws_->lane_rhs(l));
+      act_g_.push_back(g.data());
+      act_rhs_.push_back(ws_->rhs.data() + l * ws_->rhs_stride);
+      act_x_.push_back(ws_->x.data() + l * ws_->x_stride);
+    }
+    for (std::size_t di = 0; di < n_dev; ++di) {
       for (std::size_t k = 0; k < act_.size(); ++k) {
-        const std::size_t l = act_[k];
-        if (it == 0 && fault_site_[l] != nullptr) {
-          if (fault_site_[l]->kind == FaultPlan::Kind::NanStamp) {
-            act_rhs_[k][0] = std::numeric_limits<double>::quiet_NaN();
-          } else if (fault_site_[l]->kind == FaultPlan::Kind::SingularMatrix) {
-            std::fill_n(act_g_[k], n, 0.0);  // zero row 0: factorization fails
-          }
-        }
-        if (!ws_->solvers[l].factor_solve_in_place(std::span<double>(act_rhs_[k], n),
-                                                   ws_->x_new)) {
-          fail_[l] = 1;
-          iter_spent_[l] = it + 1;
-          continue;
-        }
-        double* __restrict xl = act_x_[k];
-        const std::vector<double>& x_new = ws_->x_new;
-        double max_delta = 0.0;
-        for (std::size_t i = 0; i < nu; ++i) {
-          const double delta =
-              std::clamp(x_new[i] - xl[i], -options_.max_step_voltage, options_.max_step_voltage);
-          max_delta = std::max(max_delta, std::abs(delta));
-          xl[i] += delta;
-        }
-        for (std::size_t i = nu; i < n; ++i) xl[i] = x_new[i];
-        bool finite = std::isfinite(max_delta);
-        for (std::size_t i = 0; finite && i < n; ++i) finite = std::isfinite(xl[i]);
-        if (!finite) {
-          // Same early bail as newton_solve_plan: a poisoned iterate can
-          // never converge, so don't burn the iteration budget on it.
-          fail_[l] = 1;
-          iter_spent_[l] = it + 1;
-          continue;
-        }
-        if (max_delta < options_.vtol) {
-          done_[l] = 1;
-          ok_[l] = 1;
-          iter_spent_[l] = it + 1;
-          if (fault_site_[l] != nullptr &&
-              fault_site_[l]->kind == FaultPlan::Kind::SlowConverge) {
-            iter_spent_[l] += fault_site_[l]->extra_iterations;
-          }
-        }
+        const StampPlan::MosStamp& ms = plans_[act_[k]].mos_stamps()[di];
+        const double* __restrict xl = act_x_[k];
+        double* __restrict gd = act_g_[k];
+        double* __restrict rd = act_rhs_[k];
+        const double vg = xl[ms.xg];
+        const double vd = xl[ms.xd];
+        const double vs = xl[ms.xs];
+        const MosLinearization lin =
+            mos_linearize(options_.mos_model, *ms.params, ms.w_over_l, vg, vd, vs);
+        const double i_eq = lin.i_ds - ms.mg * (lin.d_vg * vg) - ms.md * (lin.d_vd * vd) -
+                            ms.ms * (lin.d_vs * vs);
+        gd[ms.j_dg] += lin.d_vg;
+        gd[ms.j_dd] += lin.d_vd;
+        gd[ms.j_ds] += lin.d_vs;
+        rd[ms.rhs_d] -= i_eq;
+        gd[ms.j_sg] -= lin.d_vg;
+        gd[ms.j_sd] -= lin.d_vd;
+        gd[ms.j_ss] -= lin.d_vs;
+        rd[ms.rhs_s] += i_eq;
       }
     }
-  } else {
-    // --- chord Newton on retained factors (LU bypass) ----------------------
-    const double res_ok = 1e3 * options_.abstol;
-    for (int it = 0; it < options_.max_newton_iterations; ++it) {
-      act_.clear();
-      for (std::size_t l = 0; l < lanes; ++l) {
-        if (alive_[l] && !done_[l] && !fail_[l]) act_.push_back(l);
+
+    // Solve + damped update per lane (identical to newton_solve_plan).
+    for (std::size_t k = 0; k < act_.size(); ++k) {
+      const std::size_t l = act_[k];
+      if (it == 0 && fault_site_[l] != nullptr) {
+        if (fault_site_[l]->kind == FaultPlan::Kind::NanStamp) {
+          act_rhs_[k][0] = std::numeric_limits<double>::quiet_NaN();
+        } else if (fault_site_[l]->kind == FaultPlan::Kind::SingularMatrix) {
+          std::fill_n(act_g_[k], n, 0.0);  // zero row 0: factorization fails
+        }
       }
-      if (act_.empty()) break;
-
-      for (const std::size_t l : act_) {
-        double* __restrict xl = ws_->x.data() + l * ws_->x_stride;
-        double* rd = ws_->rhs.data() + l * ws_->rhs_stride;
-        const std::span<const double> xs(xl, padded_);
-
-        bool full = has_factors_[l] == 0;
-        if (it == 0 && fault_site_[l] != nullptr &&
-            (fault_site_[l]->kind == FaultPlan::Kind::NanStamp ||
-             fault_site_[l]->kind == FaultPlan::Kind::SingularMatrix)) {
-          full = true;  // assembly faults need a full stamp to land on
-        }
-        if (!full) {
-          plans_[l].residual(xs, std::span<double>(rd, n + 1));
-          double rn = 0.0;
-          for (std::size_t i = 0; i < n; ++i) rn = std::max(rn, std::abs(rd[i]));
-          if (rn >= 0.5 * res_prev_[l]) {
-            full = true;  // chord stalled: the frozen Jacobian is too stale
-          } else {
-            ws_->solvers[l].solve_into(std::span<const double>(rd, n), ws_->x_new);
-            ++bypass_solves_;
-            const std::vector<double>& delta = ws_->x_new;
-            double max_delta = 0.0;
-            for (std::size_t i = 0; i < nu; ++i) {
-              const double step = std::clamp(-delta[i], -options_.max_step_voltage,
-                                             options_.max_step_voltage);
-              max_delta = std::max(max_delta, std::abs(step));
-              xl[i] += step;
-            }
-            for (std::size_t i = nu; i < n; ++i) xl[i] -= delta[i];
-            res_prev_[l] = rn;
-            if (max_delta < options_.vtol) {
-              if (rn < res_ok) {
-                done_[l] = 1;
-                ok_[l] = 1;
-                iter_spent_[l] = it + 1;
-              } else {
-                // A tiny chord step with a large residual means the frozen
-                // factors, not the iterate, have converged: refactor.
-                has_factors_[l] = 0;
-              }
-            }
-            continue;
-          }
-        }
-        // Full stamp + refactor; solve_into(companion rhs) yields the same
-        // iterate the scalar path's fused factor+solve would.
-        plans_[l].stamp(xs, ws_->solvers[l].matrix(n), std::span<double>(rd, n + 1));
-        if (it == 0 && fault_site_[l] != nullptr) {
-          if (fault_site_[l]->kind == FaultPlan::Kind::NanStamp) {
-            rd[0] = std::numeric_limits<double>::quiet_NaN();
-          } else if (fault_site_[l]->kind == FaultPlan::Kind::SingularMatrix) {
-            std::fill_n(ws_->solvers[l].matrix(n).data(), n, 0.0);
-          }
-        }
-        if (!ws_->solvers[l].factor_in_place()) {
-          fail_[l] = 1;
-          iter_spent_[l] = it + 1;
-          continue;
-        }
-        has_factors_[l] = 1;
-        ++bypass_refactors_;
-        res_prev_[l] = std::numeric_limits<double>::infinity();
-        ws_->solvers[l].solve_into(std::span<const double>(rd, n), ws_->x_new);
-        const std::vector<double>& x_new = ws_->x_new;
-        double max_delta = 0.0;
-        for (std::size_t i = 0; i < nu; ++i) {
-          const double delta =
-              std::clamp(x_new[i] - xl[i], -options_.max_step_voltage, options_.max_step_voltage);
-          max_delta = std::max(max_delta, std::abs(delta));
-          xl[i] += delta;
-        }
-        for (std::size_t i = nu; i < n; ++i) xl[i] = x_new[i];
-        bool finite = std::isfinite(max_delta);
-        for (std::size_t i = 0; finite && i < n; ++i) finite = std::isfinite(xl[i]);
-        if (!finite) {
-          fail_[l] = 1;
-          iter_spent_[l] = it + 1;
-          continue;
-        }
-        if (max_delta < options_.vtol) {
-          done_[l] = 1;
-          ok_[l] = 1;
-          iter_spent_[l] = it + 1;
-          if (fault_site_[l] != nullptr &&
-              fault_site_[l]->kind == FaultPlan::Kind::SlowConverge) {
-            iter_spent_[l] += fault_site_[l]->extra_iterations;
-          }
+      if (!ws_->solvers[l].factor_solve_in_place(std::span<double>(act_rhs_[k], n),
+                                                 ws_->x_new)) {
+        fail_[l] = 1;
+        iter_spent_[l] = it + 1;
+        continue;
+      }
+      double* __restrict xl = act_x_[k];
+      const std::vector<double>& x_new = ws_->x_new;
+      double max_delta = 0.0;
+      for (std::size_t i = 0; i < nu; ++i) {
+        const double delta =
+            std::clamp(x_new[i] - xl[i], -options_.max_step_voltage, options_.max_step_voltage);
+        max_delta = std::max(max_delta, std::abs(delta));
+        xl[i] += delta;
+      }
+      for (std::size_t i = nu; i < n; ++i) xl[i] = x_new[i];
+      bool finite = std::isfinite(max_delta);
+      for (std::size_t i = 0; finite && i < n; ++i) finite = std::isfinite(xl[i]);
+      if (!finite) {
+        // Same early bail as newton_solve_plan: a poisoned iterate can
+        // never converge, so don't burn the iteration budget on it.
+        fail_[l] = 1;
+        iter_spent_[l] = it + 1;
+        continue;
+      }
+      if (max_delta < options_.vtol) {
+        done_[l] = 1;
+        ok_[l] = 1;
+        iter_spent_[l] = it + 1;
+        if (fault_site_[l] != nullptr &&
+            fault_site_[l]->kind == FaultPlan::Kind::SlowConverge) {
+          iter_spent_[l] += fault_site_[l]->extra_iterations;
         }
       }
     }
@@ -480,13 +372,9 @@ std::vector<TransientResult> BatchSimulator::transient(const TransientSpec& spec
     return results;
   }
   note_batch_group(lanes);
-  bypass_solves_ = 0;
-  bypass_refactors_ = 0;
 
   ws_->prepare(lanes, padded_, n_, n_caps_);
   alive_.assign(lanes, 1);
-  has_factors_.assign(lanes, 0);
-  res_prev_.assign(lanes, std::numeric_limits<double>::infinity());
 
   // --- per-lane initial state: DC (rolling warm-start seed) or UIC --------
   SimulatorWorkspace& sws = thread_local_workspace();
@@ -650,7 +538,6 @@ std::vector<TransientResult> BatchSimulator::transient(const TransientSpec& spec
     for (std::size_t l = 0; l < lanes; ++l) {
       if (alive_[l]) results[l].ok = true;
     }
-    note_bypass_solves(bypass_solves_, bypass_refactors_);
     return results;
   }
 
@@ -915,7 +802,6 @@ std::vector<TransientResult> BatchSimulator::transient(const TransientSpec& spec
   for (std::size_t l = 0; l < lanes; ++l) {
     if (alive_[l]) results[l].ok = true;
   }
-  note_bypass_solves(bypass_solves_, bypass_refactors_);
   return results;
 }
 

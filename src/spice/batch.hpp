@@ -10,19 +10,11 @@
 //      lane-strided solution buffers instead of jumping matrix to matrix,
 //   3. per-lane fused LU factor+solve and the damped update.
 // Within a lane the arithmetic (order included) is exactly the scalar
-// Simulator's Newton iteration, so with adaptive stepping and bypass off a
-// batched run is bit-identical to N sequential runs.  Converged lanes freeze
-// (their iterate is no longer touched) while the rest keep iterating; a lane
-// whose solve fails is isolated — its TransientResult reports the error and
-// the remaining lanes finish normally.
-//
-// Newton LU-bypass (SimulatorOptions::newton_bypass): each lane retains its
-// last LU factorization across iterations and timesteps and iterates chord
-// Newton on the true nonlinear residual (StampPlan::residual) — an O(n^2)
-// matvec + back-substitution instead of the O(n^3) refactor.  Every chord
-// iteration checks the residual; if it fails to halve, or the update stalls
-// with the residual still large, the lane falls back to a full stamp +
-// refactor for that iteration and the chord resumes from the fresh factors.
+// Simulator's Newton iteration, so with adaptive stepping off a batched run
+// is bit-identical to N sequential runs.  Converged lanes freeze (their
+// iterate is no longer touched) while the rest keep iterating; a lane whose
+// solve fails is isolated — its TransientResult reports the error and the
+// remaining lanes finish normally.
 //
 // With SimulatorOptions::adaptive_timestep the controller of the scalar
 // Simulator runs once for the whole batch on a union grid: every lane is
@@ -146,12 +138,8 @@ class BatchSimulator {
   std::vector<double*> act_g_;   ///< cached matrix pointers for act_
   std::vector<double*> act_rhs_;
   std::vector<double*> act_x_;
-  std::vector<char> has_factors_;   ///< bypass: lane holds a valid LU
-  std::vector<double> res_prev_;    ///< bypass: last chord residual norm
   std::vector<const FaultPlan::Site*> fault_site_;  ///< per-solve injected fault
   std::vector<char> rescued_;       ///< per-step: lane recovered via rescue
-  std::uint64_t bypass_solves_ = 0;
-  std::uint64_t bypass_refactors_ = 0;
 };
 
 }  // namespace glova::spice

@@ -12,8 +12,6 @@ SpiceCounters CounterSink::spice() const {
   SpiceCounters c;
   c.batch_groups = batch_groups.load(std::memory_order_relaxed);
   c.batch_lanes = batch_lanes.load(std::memory_order_relaxed);
-  c.bypass_solves = bypass_solves.load(std::memory_order_relaxed);
-  c.bypass_refactors = bypass_refactors.load(std::memory_order_relaxed);
   c.steps_accepted = steps_accepted.load(std::memory_order_relaxed);
   c.steps_rejected = steps_rejected.load(std::memory_order_relaxed);
   c.recovered_dc = recovered_dc.load(std::memory_order_relaxed);
@@ -45,11 +43,6 @@ WarmStartStats warm_start_stats() { return g_process.warm(); }
 void note_batch_group(std::uint64_t lanes) {
   count(&CounterSink::batch_groups);
   count(&CounterSink::batch_lanes, lanes);
-}
-
-void note_bypass_solves(std::uint64_t solves, std::uint64_t refactors) {
-  count(&CounterSink::bypass_solves, solves);
-  count(&CounterSink::bypass_refactors, refactors);
 }
 
 void note_lte_steps(std::uint64_t accepted, std::uint64_t rejected) {

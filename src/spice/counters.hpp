@@ -14,10 +14,6 @@ struct SpiceCounters {
   /// Batched-evaluator groups run and total lanes marched across them.
   std::uint64_t batch_groups = 0;
   std::uint64_t batch_lanes = 0;
-  /// Chord-Newton solves on frozen LU factors (Newton bypass) vs. full
-  /// stamp + refactor solves taken in bypass mode (first step, stalls).
-  std::uint64_t bypass_solves = 0;
-  std::uint64_t bypass_refactors = 0;
   /// LTE-adaptive timestep controller: accepted steps and rejected (redone)
   /// steps, scalar and batched paths combined.
   std::uint64_t steps_accepted = 0;
@@ -44,8 +40,6 @@ struct CounterSink {
   using Counter = std::atomic<std::uint64_t>;
   Counter batch_groups{0};
   Counter batch_lanes{0};
-  Counter bypass_solves{0};
-  Counter bypass_refactors{0};
   Counter steps_accepted{0};
   Counter steps_rejected{0};
   Counter recovered_dc{0};
@@ -68,7 +62,6 @@ void count(CounterSink::Counter CounterSink::*counter, std::uint64_t n = 1);
 [[nodiscard]] WarmStartStats warm_start_stats();
 
 void note_batch_group(std::uint64_t lanes);
-void note_bypass_solves(std::uint64_t solves, std::uint64_t refactors);
 void note_lte_steps(std::uint64_t accepted, std::uint64_t rejected);
 void note_recovered_dc();
 void note_recovered_transient();

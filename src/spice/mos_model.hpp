@@ -151,12 +151,6 @@ inline MosLinearization nmos_linearize(MosModel model, const pdk::MosParams& p, 
   return lin;
 }
 
-/// Level-1 convenience overload (historical call signature).
-inline MosLinearization nmos_linearize(const pdk::MosParams& p, double w_over_l, double vg,
-                                       double vd, double vs) {
-  return nmos_linearize(MosModel::kLevel1, p, w_over_l, vg, vd, vs);
-}
-
 /// Full linearization covering both polarities.  PMOS devices are evaluated
 /// as NMOS on mirrored voltages; the mirror flips the current sign while the
 /// chain rule cancels the sign on the derivatives.  w_over_l is passed in so
@@ -175,23 +169,11 @@ inline MosLinearization mos_linearize(MosModel model, const pdk::MosParams& para
   return lin;
 }
 
-/// Level-1 convenience overload (historical call signature).
-inline MosLinearization mos_linearize(const pdk::MosParams& params, double w_over_l, double vg,
-                                      double vd, double vs) {
-  return mos_linearize(MosModel::kLevel1, params, w_over_l, vg, vd, vs);
-}
-
 /// Drain-to-source current only (branch-current recovery at pinned nodes,
-/// residual-only evaluation in the Newton LU-bypass path).
+/// the KCL residual behind failure reports).
 inline double mos_current(MosModel model, const pdk::MosParams& params, double w_over_l,
                           double vg, double vd, double vs) {
   return mos_linearize(model, params, w_over_l, vg, vd, vs).i_ds;
-}
-
-/// Level-1 convenience overload (historical call signature).
-inline double mos_current(const pdk::MosParams& params, double w_over_l, double vg, double vd,
-                          double vs) {
-  return mos_current(MosModel::kLevel1, params, w_over_l, vg, vd, vs);
 }
 
 }  // namespace glova::spice

@@ -190,13 +190,6 @@ struct SimulatorOptions {
   double dt_min_factor = 1e-3;  ///< dt never drops below spec.dt * this
   double dt_max_factor = 16.0;  ///< dt never grows above spec.dt * this
 
-  /// Newton LU-bypass (batched evaluator only): keep each lane's previous
-  /// LU factorization and iterate chord Newton on the true residual while
-  /// it converges, falling back to a full stamp + refactor on stall.  The
-  /// scalar Simulator ignores this flag — its fused factor+solve kernel is
-  /// already cheaper than a retained factorization for single lanes.
-  bool newton_bypass = false;
-
   /// MOSFET channel model.  kLevel1 (default) is the historical square law
   /// with hard sub-Vth cutoff — every pinned baseline was recorded against
   /// it.  kEkv switches every channel evaluation (scalar Newton loop,
@@ -411,11 +404,10 @@ class StampPlan {
 
   /// True nonlinear KCL residual at iterate `x` for the current solve:
   /// r = G_static * x + i_mos(x) - rhs_base, row for row the amount by which
-  /// the assembled equations are violated.  Used by the Newton LU-bypass
-  /// path, which iterates on frozen factors and only needs the residual —
-  /// no Jacobian, no matrix copy.  Must be called between begin_solve() and
-  /// the next begin_solve(); `x` as in stamp(); `r` needs
-  /// unknown_count() + 1 entries (trailing scratch slot).
+  /// the assembled equations are violated.  Failure reports use it to name
+  /// the worst-residual row of a failed iterate (note_worst_residual).  Must
+  /// be called between begin_solve() and the next begin_solve(); `x` as in
+  /// stamp(); `r` needs unknown_count() + 1 entries (trailing scratch slot).
   void residual(std::span<const double> x, std::span<double> r) const;
 
   /// Fill `out[si]` with the branch current of every independent voltage

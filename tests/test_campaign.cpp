@@ -225,7 +225,7 @@ TEST(CampaignCheckpoint, SavedTextRoundTripsThroughSaveAgain) {
   const std::string text = first.str();
 
   // load() then save() again reproduces the identical checkpoint: the
-  // replayed sessions land on the same cursor/steps/results.
+  // restored sessions land on the same cursor/steps/results.
   std::stringstream in(text);
   core::Campaign loaded = core::Campaign::load(in);
   std::stringstream second;
@@ -233,27 +233,57 @@ TEST(CampaignCheckpoint, SavedTextRoundTripsThroughSaveAgain) {
   EXPECT_EQ(second.str(), text);
 }
 
+/// The message Campaign::load throws for `text` ("" when it loads).
+std::string load_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    (void)core::Campaign::load(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Current-version header through the `sessions` line.
+std::string checkpoint_head(const std::string& sessions) {
+  return "glova-campaign v4\nmax_total_simulations 0\nsteps_per_turn 1\ncache_dir \ncursor 0\n"
+         "sessions " + sessions + "\n";
+}
+
 TEST(CampaignCheckpoint, RejectsGarbageAndWrongVersions) {
-  {
-    std::stringstream ss("not a checkpoint\n");
-    EXPECT_THROW((void)core::Campaign::load(ss), std::runtime_error);
+  EXPECT_NE(load_error("not a checkpoint\n").find("bad magic"), std::string::npos);
+  // Only the current version loads; every other one fails at the header
+  // with an error naming the version this build reads.
+  for (const char* version : {"v1", "v2", "v3", "v999"}) {
+    const std::string error =
+        load_error(std::string("glova-campaign ") + version + "\nmax_total_simulations 0\n");
+    EXPECT_NE(error.find(std::string("unsupported format version '") + version + "'"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("this build reads v4"), std::string::npos) << error;
   }
-  {
-    std::stringstream ss("glova-campaign v999\n");
-    EXPECT_THROW((void)core::Campaign::load(ss), std::runtime_error);
-  }
-  {
-    std::stringstream ss("glova-campaign v1\nmax_total_simulations 0\n");  // truncated
-    EXPECT_THROW((void)core::Campaign::load(ss), std::runtime_error);
-  }
-  {
-    // A corrupt count must fail as a malformed checkpoint, not as a
-    // gigantic allocation.
-    std::stringstream ss(
-        "glova-campaign v1\nmax_total_simulations 0\nsteps_per_turn 1\ncursor 0\n"
-        "sessions 9999999999999\n");
-    EXPECT_THROW((void)core::Campaign::load(ss), std::runtime_error);
-  }
+  // Truncated after the first field.
+  EXPECT_NE(load_error("glova-campaign v4\nmax_total_simulations 0\n")
+                .find("unexpected end of input, expected 'steps_per_turn'"),
+            std::string::npos);
+  // A corrupt count must fail as a malformed checkpoint, not as a gigantic
+  // allocation.
+  EXPECT_NE(load_error(checkpoint_head("9999999999999")).find("implausible session count"),
+            std::string::npos);
+}
+
+TEST(CampaignCheckpoint, ResumeReplayMeansNotSteppedYet) {
+  set_log_level(LogLevel::Warn);
+  const auto running = [](int steps) {
+    return checkpoint_head("1") + "session 0\nspec " + core::RunSpec{}.to_string() +
+           "\nstate running\nsteps " + std::to_string(steps) +
+           "\nretries 0\nresume replay\nend\n";
+  };
+  EXPECT_EQ(load_error(running(0)), "");
+  // A session that has stepped is saved with its state; 'replay' after
+  // steps > 0 is a malformed checkpoint, not a request to re-step it.
+  const std::string error = load_error(running(3));
+  EXPECT_NE(error.find("'resume replay' after 3 steps"), std::string::npos) << error;
 }
 
 TEST(CampaignCheckpoint, SaveFileAndLoadFileRoundTrip) {

@@ -2,7 +2,7 @@
 //   - every relative markdown link in README.md and docs/*.md resolves to a
 //     real file in the repo,
 //   - docs/run_spec.md documents every RunSpec key (run_spec_keys() is the
-//     machine-readable index of the grammar),
+//     machine-readable index of the grammar) and no key the grammar lacks,
 //   - run_spec_keys() itself stays in lockstep with RunSpec::to_string(),
 //   - the docs the error messages point at actually exist.
 //
@@ -10,6 +10,7 @@
 // definition (set in CMakeLists.txt), so the checks run from any build dir.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -89,6 +90,28 @@ TEST(Docs, RunSpecDocCoversEveryKey) {
     const std::string needle = "`" + std::string(key) + "`";
     EXPECT_NE(doc.find(needle), std::string::npos)
         << "docs/run_spec.md does not document RunSpec key '" << key << "'";
+  }
+}
+
+TEST(Docs, RunSpecDocumentsOnlyLiveKeys) {
+  // The reverse direction: every row of a `| key | type | ...` table names
+  // a key the grammar still accepts, so a removed key cannot linger.
+  const auto& keys = core::run_spec_keys();
+  std::istringstream doc(read_file(source_dir() / "docs" / "run_spec.md"));
+  std::string line;
+  bool in_key_table = false;
+  while (std::getline(doc, line)) {
+    if (line.rfind("| key |", 0) == 0) {
+      in_key_table = true;
+      continue;
+    }
+    if (line.rfind('|', 0) != 0) in_key_table = false;
+    if (!in_key_table || line.rfind("| `", 0) != 0) continue;
+    const std::size_t end = line.find('`', 3);
+    ASSERT_NE(end, std::string::npos) << line;
+    const std::string key = line.substr(3, end - 3);
+    EXPECT_TRUE(std::find(keys.begin(), keys.end(), key) != keys.end())
+        << "docs/run_spec.md documents '" << key << "', which is not a RunSpec key";
   }
 }
 

@@ -453,7 +453,6 @@ TEST(EngineIsolation, EngineCountersPartitionTheProcessTotals) {
             sp.steps_accepted - spice_before.steps_accepted);
   EXPECT_EQ(sa.steps_rejected + sb.steps_rejected,
             sp.steps_rejected - spice_before.steps_rejected);
-  EXPECT_EQ(sa.bypass_solves + sb.bypass_solves, sp.bypass_solves - spice_before.bypass_solves);
   EXPECT_EQ(sa.recovered_dc + sb.recovered_dc, sp.recovered_dc - spice_before.recovered_dc);
   EXPECT_EQ(sa.recovered_transient + sb.recovered_transient,
             sp.recovered_transient - spice_before.recovered_transient);

@@ -33,7 +33,7 @@ std::string fresh_dir(const std::string& name) {
 
 core::MemoCacheFile sample_file() {
   core::MemoCacheFile file;
-  file.tag = "sample-bench|q=1e-15|warm=1|batched=0|adaptive=0|bypass=0|recovery=0"
+  file.tag = "sample-bench|q=1e-15|warm=1|batched=0|adaptive=0|recovery=0"
              "|retries=0|deadline=0|degrade=0";
   file.entries.push_back({{1, -2, 3}, {0.5, -1.25}});
   file.entries.push_back({{4, 5}, {3.0}});
@@ -353,29 +353,59 @@ TEST(Surrogate, FunnelCountersObeyTheExtendedInvariant) {
   EXPECT_EQ(stats.executed, 24u);
 }
 
-TEST(Surrogate, DisabledModeKeepsTheLegacyStateFrame) {
+/// save_state() of `engine`, loaded into `fresh` and saved again: the two
+/// texts must match byte for byte.
+std::string expect_state_round_trip(const core::EvaluationEngine& engine,
+                                    core::EvaluationEngine& fresh) {
+  std::ostringstream saved;
+  engine.save_state(saved);
+  std::istringstream in(saved.str());
+  fresh.load_state(in);
+  std::ostringstream resaved;
+  fresh.save_state(resaved);
+  EXPECT_EQ(resaved.str(), saved.str());
+  return saved.str();
+}
+
+TEST(Surrogate, OnAndOffEnginesWriteTheOneStateFrame) {
   const auto tb = circuits::make_testbench(circuits::Testcase::Sal);
   core::EvaluationEngine off(tb);
   (void)off.evaluate_one(midpoint_design(*tb), pdk::typical_corner(), {});
-  std::ostringstream state_off;
-  off.save_state(state_off);
-  EXPECT_EQ(state_off.str().rfind("engine-state 1\n", 0), 0u)
-      << "surrogate-off engines must keep the v1 frame byte-identical";
+  core::EvaluationEngine off_reload(tb);
+  const std::string state_off = expect_state_round_trip(off, off_reload);
+  EXPECT_EQ(state_off.rfind("engine-state 3\n", 0), 0u);
+  EXPECT_NE(state_off.find("\nsurrogate-counters 0 0\nsurrogate-model 0\n"), std::string::npos)
+      << state_off;
 
   core::EngineConfig cfg;
   cfg.surrogate = true;
+  cfg.surrogate_warmup = 8;
+  cfg.parallelism = 1;
   core::EvaluationEngine on(std::make_shared<PlaneBench>(), cfg);
-  std::ostringstream state_on;
-  on.save_state(state_on);
-  EXPECT_EQ(state_on.str().rfind("engine-state 2\n", 0), 0u);
+  const std::vector<double> x = {0.5};
+  Rng rng(31);
+  (void)on.evaluate_batch(x, pdk::typical_corner(), random_draws(rng, 12));
+  ASSERT_GT(on.stats().surrogate_train_steps, 0u);
+  core::EvaluationEngine on_reload(std::make_shared<PlaneBench>(), cfg);
+  const std::string state_on = expect_state_round_trip(on, on_reload);
+  EXPECT_EQ(state_on.rfind("engine-state 3\n", 0), 0u);
+  EXPECT_NE(state_on.find("\nsurrogate-model 1\n"), std::string::npos);
 
-  // v2 round trip: counters and (once built) the model survive.
-  core::EvaluationEngine reload(std::make_shared<PlaneBench>(), cfg);
-  std::istringstream in(state_on.str());
-  reload.load_state(in);
-  std::ostringstream resaved;
-  reload.save_state(resaved);
-  EXPECT_EQ(resaved.str(), state_on.str());
+  // Frames of earlier builds are rejected by version, naming the one read.
+  for (const char* old_version : {"1", "2"}) {
+    std::istringstream in(std::string("engine-state ") + old_version +
+                          state_off.substr(state_off.find('\n')));
+    core::EvaluationEngine target(tb);
+    try {
+      target.load_state(in);
+      ADD_FAILURE() << "engine-state " << old_version << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported engine-state version " +
+                                           std::string(old_version) + " (this build reads 3)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Surrogate, ModelStateRidesInTheMemoCacheFile) {

@@ -1,8 +1,7 @@
 // Replay-free resume: every algorithm serializes its full session state
 // (Optimizer::save_state / load_state), a restored session continues
-// bit-identically from any checkpoint, Campaign::load restores v2
-// checkpoints with zero optimizer step() replays (and zero evaluations),
-// and v1 checkpoints still load through the deterministic-replay fallback.
+// bit-identically from any checkpoint, and Campaign::load restores
+// checkpoints with zero optimizer step() replays (and zero evaluations).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -113,46 +112,6 @@ class CountingBench final : public circuits::Testbench {
   circuits::TestbenchPtr inner_;
   std::shared_ptr<std::atomic<std::uint64_t>> count_;
 };
-
-/// Down-convert a current (v3) campaign checkpoint to the v1 format: v1 has
-/// no `cache_dir` line, no per-session `retries` line and no `resume` line
-/// (in-flight sessions were implicitly replayed), so strip them — for
-/// `resume state`, through the embedded state's `optimizer-state-end`
-/// terminator.
-std::string downconvert_to_v1(const std::string& v3_text) {
-  std::istringstream in(v3_text);
-  std::ostringstream out;
-  std::string line;
-  bool in_embedded_state = false;
-  while (std::getline(in, line)) {
-    if (in_embedded_state) {
-      if (line == "optimizer-state-end") in_embedded_state = false;
-      continue;
-    }
-    if (line == "glova-campaign v3") {
-      out << "glova-campaign v1\n";
-    } else if (line == "resume state") {
-      in_embedded_state = true;
-    } else if (line == "resume replay") {
-      // dropped: v1 replays every in-flight session unconditionally
-    } else if (line.rfind("retries ", 0) == 0) {
-      // dropped: v1 predates the retry ladder
-    } else if (line.rfind("cache_dir", 0) == 0) {
-      // dropped: v1 predates the persistent memo cache
-    } else {
-      out << line << '\n';
-    }
-  }
-  return out.str();
-}
-
-TEST(ResumeState, EveryAlgorithmSupportsStateSerialization) {
-  for (core::Algorithm algorithm : core::all_algorithms()) {
-    const auto session = core::make_optimizer(parity_spec(algorithm));
-    EXPECT_TRUE(session->supports_state_serialization())
-        << core::to_string(algorithm);
-  }
-}
 
 TEST(ResumeState, SaveAndLoadEnforceTheSessionProtocol) {
   set_log_level(LogLevel::Warn);
@@ -292,41 +251,9 @@ TEST(ResumeState, CampaignLoadPerformsZeroEvaluations) {
   const std::uint64_t before = count->load();
   core::Campaign loaded = core::Campaign::load(checkpoint, factory);
   EXPECT_EQ(count->load(), before)
-      << "Campaign::load must not evaluate (replay) when restoring v2 state";
+      << "Campaign::load must not evaluate (replay) when restoring session state";
 
   // Both campaigns finish bit-identically from here.
-  expect_identical_tables(loaded.run(), campaign.run());
-}
-
-TEST(ResumeState, V1CheckpointStillLoadsViaReplay) {
-  set_log_level(LogLevel::Warn);
-  const auto count = std::make_shared<std::atomic<std::uint64_t>>(0);
-  const auto factory = [count](const core::RunSpec& spec) -> circuits::TestbenchPtr {
-    return std::make_shared<CountingBench>(
-        circuits::make_testbench(spec.testcase, spec.backend), count);
-  };
-
-  core::CampaignConfig config;
-  config.make_testbench = factory;
-  core::Campaign campaign(parity_sweep(), config);
-  for (int i = 0; i < 9 && !campaign.done(); ++i) campaign.step();
-  ASSERT_FALSE(campaign.done());
-
-  std::stringstream checkpoint;
-  campaign.save(checkpoint);
-  const std::string v1_text = downconvert_to_v1(checkpoint.str());
-  EXPECT_NE(v1_text.find("glova-campaign v1"), std::string::npos);
-  EXPECT_EQ(v1_text.find("\nresume "), std::string::npos);
-  EXPECT_EQ(v1_text.find("\nretries "), std::string::npos);
-
-  // v1 resumes by deterministic replay: the load itself re-evaluates.
-  const std::uint64_t before = count->load();
-  std::istringstream in(v1_text);
-  core::Campaign loaded = core::Campaign::load(in, factory);
-  EXPECT_GT(count->load(), before)
-      << "the v1 fallback replays steps, which must hit the testbench";
-
-  // And lands on the same bit-identical table as the uninterrupted run.
   expect_identical_tables(loaded.run(), campaign.run());
 }
 

@@ -552,6 +552,50 @@ TEST(Server, ShutdownVerbRequestsTermination) {
   server.stop(true);
 }
 
+TEST(Server, SpoolJobFromAnEarlierBuildFailsWithTheUnknownKey) {
+  set_log_level(LogLevel::Warn);
+  const std::string spool = fresh_dir("glova_serve_old_spec");
+  core::SweepSpec sweep = serve_sweep();
+  sweep.algorithms = {core::Algorithm::Glova};
+  sweep.base.max_iterations = 4;
+
+  // A job record as earlier builds spooled it: its spec still carries the
+  // key of the removed Newton LU-bypass.
+  const std::string removed_key = "newton_bypass";
+  std::string old_spec = sweep.to_string();
+  const std::string anchor = "adaptive_timestep=0 ";
+  const std::size_t at = old_spec.find(anchor);
+  ASSERT_NE(at, std::string::npos) << old_spec;
+  old_spec.insert(at + anchor.size(), removed_key + "=0 ");
+  serve::JobStore(spool).save_job({"job-000001", "alice", old_spec});
+
+  serve::ServerConfig config;
+  config.spool_dir = spool;
+  config.workers = 1;
+  serve::Server server(std::move(config));
+  server.start();
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  const std::string status = wait_terminal(client, "job-000001");
+  ASSERT_NE(status.find(" Failed "), std::string::npos) << status;
+  const std::string head = client.request("RESULT job-000001");
+  EXPECT_EQ(head, "OK job-000001 Failed");
+  const std::vector<std::string> payload = client.read_payload();
+  ASSERT_EQ(payload.size(), 1u);
+  EXPECT_NE(payload[0].find("unknown key '" + removed_key + "'"), std::string::npos) << payload[0];
+
+  // The failed recovery leaves the server healthy: a fresh job runs to Done.
+  const std::string submitted = client.request("SUBMIT alice " + sweep.to_string());
+  ASSERT_EQ(submitted.rfind("OK ", 0), 0u) << submitted;
+  EXPECT_EQ(submitted.substr(3), "job-000002");
+  const std::string fresh = wait_terminal(client, "job-000002");
+  EXPECT_NE(fresh.find(" Done "), std::string::npos) << fresh;
+
+  server.stop(true);
+  std::filesystem::remove_all(spool);
+}
+
 TEST(Server, KillAndRestartResumesEveryInFlightCampaignBitIdentically) {
   set_log_level(LogLevel::Warn);
   const std::string spool = fresh_dir("glova_serve_restart");

@@ -1,7 +1,7 @@
 // Batched mismatch-draw evaluator tests: BatchSimulator congruence checking,
 // bit-identity of the batched backend paths against the sequential reference
-// (default options), tolerance bands for the Newton LU-bypass and
-// LTE-adaptive variants, warm-start cache accounting, and the evaluation
+// (default options), tolerance bands for the LTE-adaptive variant,
+// warm-start cache accounting, and the evaluation
 // engine's draw-group routing with memo-cache composition.
 #include <gtest/gtest.h>
 
@@ -75,7 +75,7 @@ TEST(BatchSimulator, RejectsNonCongruentLanes) {
 
 class BatchedDrawParity : public ::testing::TestWithParam<int> {};
 
-// With adaptive stepping and Newton bypass off, the batched path promises
+// With adaptive stepping off, the batched path promises
 // *bit-identical* metrics: per lane the Newton arithmetic is the scalar
 // simulator's, and the internal rolling DC seed reproduces the sequential
 // warm-start cache exactly.
@@ -147,37 +147,6 @@ TEST_P(BatchedDrawParity, AdaptiveTimestepStaysWithinToleranceBand) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTestcases, BatchedDrawParity, ::testing::Range(0, 3));
-
-// Newton LU-bypass keeps the grid but solves chord iterations on retained
-// factors; converged solutions move only within the Newton tolerance, and
-// chord solves must dominate refactors for the optimization to be worth it.
-TEST(BatchedDraws, NewtonBypassWithinToleranceAndChordDominates) {
-  const auto tb = circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice);
-  const ScopedTestContext warm;
-  const auto x = tb->sizing().denormalize(parity_grid::designs_x01(circuits::Testcase::Sal)[0]);
-  const auto hs = draw_group(*tb, x, 3, 7);
-  const pdk::PvtCorner corner = pdk::typical_corner();
-
-  thread_local_dc_cache().clear();
-  std::vector<std::vector<double>> ref;
-  for (const auto& h : hs) ref.push_back(tb->evaluate(x, corner, h));
-
-  thread_local_dc_cache().clear();
-  const ScopedTestContext bypass(warm_with(&SimulatorOptions::newton_bypass));
-  const auto bat = tb->evaluate_draws(x, corner, hs);
-
-  const SpiceCounters c = bypass.sink().spice();
-  EXPECT_GT(c.bypass_solves, 0u);
-  EXPECT_GT(c.bypass_solves, 4 * c.bypass_refactors);
-
-  ASSERT_EQ(bat.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    for (std::size_t mi = 0; mi < ref[i].size(); ++mi) {
-      EXPECT_NEAR(bat[i][mi], ref[i][mi], 1e-4 * std::abs(ref[i][mi]) + 1e-15)
-          << "draw " << i << " metric " << mi;
-    }
-  }
-}
 
 // One group lookup plus internal seed rolling must report the same
 // hit/miss/store totals the sequential per-draw path would.
