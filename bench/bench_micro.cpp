@@ -17,7 +17,6 @@
 #include "rl/ensemble_critic.hpp"
 #include "spice/lu.hpp"
 #include "spice/simulator.hpp"
-#include "spice/warm_start.hpp"
 #include "stats/pearson.hpp"
 
 using namespace glova;
@@ -68,43 +67,6 @@ static void BM_SpiceSalTransient(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpiceSalTransient)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-static void BM_SpiceBatchedDraws(benchmark::State& state) {
-  // 16 mismatch draws of one SAL (design, corner) cell, the inner loop of a
-  // verification batch.  Arg 0 = sequential per-draw evaluate() on the fixed
-  // grid (the pre-batching path), arg 1 = the lockstep batched evaluator on
-  // the LTE-adaptive union grid — the batched production regime.  Warm
-  // start on for both, with a per-iteration cache clear so every run is
-  // cold-equivalent.
-  constexpr std::size_t kDraws = 16;
-  const bool batched = state.range(0) != 0;
-  spice::EvalContext numerics;
-  numerics.options.adaptive_timestep = batched;
-  numerics.dc_warm_start = true;
-  const spice::ScopedEvalContext scope(numerics);
-  circuits::StrongArmLatchSpice sal;
-  const auto& sz = sal.sizing();
-  std::vector<double> x01 = {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2, 0, 0, 0, 0, 0, 0.05, 0.01};
-  const auto x = sz.denormalize(x01);
-  const auto layout = sal.mismatch_layout(x, false);
-  Rng rng(9);
-  const auto hs = pdk::sample_mismatch_set(layout, kDraws, rng, pdk::GlobalMode::Zero);
-  for (auto _ : state) {
-    state.PauseTiming();
-    spice::thread_local_dc_cache().clear();
-    state.ResumeTiming();
-    if (batched) {
-      benchmark::DoNotOptimize(sal.evaluate_draws(x, pdk::typical_corner(), hs));
-    } else {
-      for (const auto& h : hs) {
-        benchmark::DoNotOptimize(sal.evaluate(x, pdk::typical_corner(), h));
-      }
-    }
-  }
-  state.counters["draws_per_s"] = benchmark::Counter(
-      static_cast<double>(kDraws) * state.iterations(), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SpiceBatchedDraws)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 static void BM_SpiceAssemblyOnly(benchmark::State& state) {
   // One Newton iteration's assembly through the compiled stamp plan: memcpy

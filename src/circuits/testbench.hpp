@@ -121,30 +121,19 @@ class Testbench {
                                                      const pdk::PvtCorner& corner,
                                                      std::span<const double> h) const = 0;
 
-  /// Evaluate a group of mismatch draws of one (x, corner), one metric vector
-  /// per draw, in input order.  The base implementation loops evaluate();
-  /// backends that override supports_batched_draws() march the draws through
-  /// one lockstep batched simulation instead (spice::BatchSimulator), which
-  /// amortizes netlist-independent work and keeps the Newton state of every
-  /// draw hot in cache.  Semantics are identical to the loop: with adaptive
-  /// stepping off the metrics are bit-identical.
-  [[nodiscard]] std::vector<std::vector<double>> evaluate_draws(
-      std::span<const double> x, const pdk::PvtCorner& corner,
-      std::span<const std::vector<double>> hs) const;
-
-  /// As above, additionally reporting per-draw failures: failures[i].failed
-  /// is set (and the draw's metrics are the backend's penalty sentinel) when
-  /// draw i did not converge.  The base implementation loops evaluate(),
-  /// translating EvaluationError into the per-draw record; batched backends
-  /// override this overload and annotate lanes from their simulator reports.
+  /// Evaluate a group of mismatch draws of one (x, corner) by looping
+  /// evaluate(): one metric vector per draw, in input order, with
+  /// failures[i].failed set (and the draw's metrics the backend's penalty
+  /// sentinel) when draw i did not converge.  Nothing in the library calls
+  /// it; kept only because glovabench/src/traced_testbench.hpp overrides it.
+  /// Delete at the next benchmark change.
   [[nodiscard]] virtual std::vector<std::vector<double>> evaluate_draws(
       std::span<const double> x, const pdk::PvtCorner& corner,
       std::span<const std::vector<double>> hs,
       std::vector<EvaluationFailure>& failures) const;
 
-  /// True when evaluate_draws() is a genuine batched implementation rather
-  /// than the sequential fallback loop (the evaluation engine only routes
-  /// draw groups here when this holds).
+  /// Always false.  Kept only because glovabench/src/traced_testbench.hpp
+  /// overrides it; delete at the next benchmark change.
   [[nodiscard]] virtual bool supports_batched_draws() const { return false; }
 
   /// Cheaper stand-in for graceful degradation: when an evaluation keeps

@@ -22,7 +22,7 @@ namespace glova::core {
 namespace {
 
 /// The one engine-state frame version this build writes and reads.
-constexpr std::uint64_t kEngineStateVersion = 3;
+constexpr std::uint64_t kEngineStateVersion = 4;
 
 /// EngineStats fields counted in the engine's spice::CounterSink, in the
 /// order of the engine-state `carried` line.
@@ -31,8 +31,6 @@ constexpr std::pair<std::uint64_t EngineStats::*, SinkCounter> kSinkFields[] = {
     {&EngineStats::dc_warm_hits, &spice::CounterSink::warm_hits},
     {&EngineStats::dc_warm_misses, &spice::CounterSink::warm_misses},
     {&EngineStats::dc_warm_stores, &spice::CounterSink::warm_stores},
-    {&EngineStats::batch_groups, &spice::CounterSink::batch_groups},
-    {&EngineStats::batch_lanes, &spice::CounterSink::batch_lanes},
     {&EngineStats::steps_accepted, &spice::CounterSink::steps_accepted},
     {&EngineStats::steps_rejected, &spice::CounterSink::steps_rejected},
     {&EngineStats::recovered_dc, &spice::CounterSink::recovered_dc},
@@ -83,10 +81,16 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
   load_persistent_cache();
 }
 
-std::vector<double> EvaluationEngine::recover_or_degrade(std::span<const double> x_phys,
-                                                         const pdk::PvtCorner& corner,
-                                                         std::span<const double> h,
-                                                         const std::vector<double>& penalty) {
+std::vector<double> EvaluationEngine::evaluate_guarded(std::span<const double> x_phys,
+                                                       const pdk::PvtCorner& corner,
+                                                       std::span<const double> h) {
+  const spice::ScopedEvalContext scope(context_);
+  std::vector<double> penalty;
+  try {
+    return testbench_->evaluate(x_phys, corner, h);
+  } catch (const circuits::EvaluationError& e) {
+    penalty = e.penalty_metrics();
+  }
   // Escalated retries: each attempt runs under a copy of the context with
   // the ladder enabled (level 1) and then taller/deeper (level >= 2); the
   // copy is uninstalled when the attempt's scope ends.
@@ -94,7 +98,7 @@ std::vector<double> EvaluationEngine::recover_or_degrade(std::span<const double>
     retries_.fetch_add(1);
     spice::EvalContext escalated = context_;
     escalated.options = spice::escalate_recovery(context_.options, attempt);
-    const spice::ScopedEvalContext scope(escalated);
+    const spice::ScopedEvalContext retry_scope(escalated);
     try {
       return testbench_->evaluate(x_phys, corner, h);
     } catch (const circuits::EvaluationError&) {
@@ -107,20 +111,9 @@ std::vector<double> EvaluationEngine::recover_or_degrade(std::span<const double>
       return fallback->evaluate(x_phys, corner, h);
     }
   }
+  // With no retries and no degradation this is the backend's legacy penalty
+  // metrics — bit-identical to the pre-funnel behavior.
   return penalty;
-}
-
-std::vector<double> EvaluationEngine::evaluate_guarded(std::span<const double> x_phys,
-                                                       const pdk::PvtCorner& corner,
-                                                       std::span<const double> h) {
-  const spice::ScopedEvalContext scope(context_);
-  try {
-    return testbench_->evaluate(x_phys, corner, h);
-  } catch (const circuits::EvaluationError& e) {
-    // With no retries and no degradation this resolves to the backend's
-    // legacy penalty metrics — bit-identical to the pre-funnel behavior.
-    return recover_or_degrade(x_phys, corner, h, e.penalty_metrics());
-  }
 }
 
 std::vector<double> EvaluationEngine::evaluate_with_slot(std::span<const double> x_phys,
@@ -393,55 +386,6 @@ std::vector<std::vector<double>> EvaluationEngine::evaluate_batch(
   if (config_.surrogate) {
     prune_with_surrogate(x_phys, corner, hs, miss_indices, miss_keys, results);
     if (miss_indices.empty()) return results;
-  }
-
-  // Batched draw-group path: every miss of this call shares (x, corner), so
-  // when the testbench can march draws in lockstep, hand it the whole miss
-  // set at once.  A single parallelism slot covers the group (it occupies
-  // one thread); the memo cache sees each lane's metrics exactly as the
-  // sequential path would have inserted them.
-  if (config_.batched_draws && miss_indices.size() > 1 &&
-      testbench_->supports_batched_draws()) {
-    std::vector<std::vector<double>> miss_hs;
-    miss_hs.reserve(miss_indices.size());
-    for (const std::size_t i : miss_indices) miss_hs.push_back(hs[i]);
-    std::vector<std::vector<double>> group;
-    std::vector<circuits::EvaluationFailure> lane_failures;
-    // Failed lanes re-enter the funnel one by one while the group's slot is
-    // still held: each is retried with the ladder escalated and then (when
-    // configured) degraded, exactly as a sequential failure would be.  The
-    // group's metrics for that lane already hold the penalty sentinel, so
-    // with no retries and no degradation nothing changes.
-    const auto run_group = [&] {
-      const spice::ScopedEvalContext scope(context_);
-      group = testbench_->evaluate_draws(x_phys, corner, miss_hs, lane_failures);
-      if (config_.max_eval_retries > 0 || config_.degrade_to_behavioral) {
-        for (std::size_t mi = 0; mi < miss_hs.size(); ++mi) {
-          if (mi < lane_failures.size() && lane_failures[mi].failed) {
-            group[mi] = recover_or_degrade(x_phys, corner, miss_hs[mi], group[mi]);
-          }
-        }
-      }
-    };
-    if (slots_) {
-      slots_->acquire();
-      try {
-        run_group();
-      } catch (...) {
-        slots_->release();
-        throw;
-      }
-      slots_->release();
-    } else {
-      run_group();
-    }
-    for (std::size_t mi = 0; mi < miss_indices.size(); ++mi) {
-      results[miss_indices[mi]] = std::move(group[mi]);
-      executed_.fetch_add(1);
-      if (caching) cache_insert(std::move(miss_keys[mi]), results[miss_indices[mi]]);
-    }
-    train_surrogate(x_phys, corner, hs, miss_indices, results);
-    return results;
   }
 
   const auto run_one = [&](std::size_t mi) {

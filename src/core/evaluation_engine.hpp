@@ -77,13 +77,6 @@ struct EngineConfig {
   /// (spice/warm_start.hpp); off is the reproducible setting.  Behavioral
   /// testbenches are unaffected.
   bool dc_warm_start = true;
-  /// Route same-(x, corner) mismatch-draw groups through the testbench's
-  /// batched evaluator (spice::BatchSimulator lockstep marching) when it
-  /// supports one.  Cache misses of one evaluate_batch() call become one
-  /// batched group; memoization and DC warm starts compose as usual.  Off by
-  /// default: with adaptive stepping off the batched metrics are
-  /// bit-identical, but the sequential path stays the reference.
-  bool batched_draws = false;
   /// LTE-adaptive timestep control in the SPICE transient.  Changes metric
   /// values within the controller's truncation-error tolerance.
   bool adaptive_timestep = false;
@@ -97,9 +90,9 @@ struct EngineConfig {
   /// giving up.  0 = no retries: a failed evaluation keeps the backend's
   /// legacy penalty metrics.
   int max_eval_retries = 0;
-  /// Cooperative per-evaluation deadline in Newton iterations (per lane in
-  /// the batched evaluator).  A run that exhausts it aborts deterministically
-  /// with FailureStage::Deadline.  0 = no deadline.
+  /// Cooperative per-evaluation deadline in Newton iterations.  A run that
+  /// exhausts it aborts deterministically with FailureStage::Deadline.
+  /// 0 = no deadline.
   std::uint64_t eval_deadline_steps = 0;
   /// Graceful degradation: when an evaluation still fails after every retry,
   /// quarantine it to the testbench's degraded_fallback() (the behavioral
@@ -160,15 +153,15 @@ struct EngineStats {
   std::uint64_t dc_warm_hits = 0;
   std::uint64_t dc_warm_misses = 0;
   std::uint64_t dc_warm_stores = 0;
-  /// Simulator-level activity (same per-engine convention as the dc_warm_*
-  /// counters): batched draw groups and their total lanes, and the adaptive
-  /// timestep controller's accepted/rejected step totals.
+  /// Always zero: the Newton LU-bypass and the lockstep batched draw
+  /// evaluator are gone, but the frozen benchmark program still sums these
+  /// four; delete them at the next benchmark change.
   std::uint64_t batch_groups = 0;
   std::uint64_t batch_lanes = 0;
-  /// Always zero: the Newton LU-bypass is gone, but the frozen benchmark
-  /// program still sums these two; delete them at the next benchmark change.
   std::uint64_t bypass_solves = 0;
   std::uint64_t bypass_refactors = 0;
+  /// Simulator-level activity (same per-engine convention as the dc_warm_*
+  /// counters): the adaptive timestep controller's accepted/rejected steps.
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
   /// Convergence-recovery funnel: DC points and transient steps the
@@ -258,7 +251,7 @@ class EvaluationEngine {
   /// so stats() of a restored engine in a fresh process continues from the
   /// saved totals.  Configuration is NOT serialized — `load_state` expects an
   /// engine constructed with the same EngineConfig and testbench.  The frame
-  /// is `engine-state 3` whether or not the surrogate is on (its counters
+  /// is `engine-state 4` whether or not the surrogate is on (its counters
   /// read 0 and no model is stored when it is off); load_state rejects every
   /// other version.
   void save_state(std::ostream& os) const;
@@ -291,12 +284,6 @@ class EvaluationEngine {
   [[nodiscard]] std::vector<double> evaluate_guarded(std::span<const double> x_phys,
                                                      const pdk::PvtCorner& corner,
                                                      std::span<const double> h);
-  /// The retry / degrade tail of the funnel, shared by the sequential and
-  /// batched paths.  `penalty` is returned when everything fails.
-  [[nodiscard]] std::vector<double> recover_or_degrade(std::span<const double> x_phys,
-                                                       const pdk::PvtCorner& corner,
-                                                       std::span<const double> h,
-                                                       const std::vector<double>& penalty);
   /// Load EngineConfig::cache_path into the LRU (and the persisted surrogate
   /// model, when surrogate mode is on) at construction.
   void load_persistent_cache();

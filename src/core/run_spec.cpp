@@ -127,7 +127,7 @@ const std::vector<std::string_view>& run_spec_keys() {
       "cost_per_rl_iteration", "parallelism",
       "min_parallel_batch", "cache_capacity",
       "cache_quantum",   "dc_warm_start",
-      "batched_draws",   "adaptive_timestep",
+      "adaptive_timestep",
       "recovery",        "mos_model",
       "spice_noise",
       "max_eval_retries", "eval_deadline_steps",
@@ -167,7 +167,6 @@ std::string RunSpec::to_string() const {
   kv("cache_capacity", std::to_string(engine.cache_capacity));
   kv("cache_quantum", format_double(engine.cache_quantum));
   kv("dc_warm_start", engine.dc_warm_start ? "1" : "0");
-  kv("batched_draws", engine.batched_draws ? "1" : "0");
   kv("adaptive_timestep", engine.adaptive_timestep ? "1" : "0");
   kv("recovery", engine.recovery ? "1" : "0");
   kv("mos_model", engine.mos_model);
@@ -254,8 +253,6 @@ RunSpec RunSpec::from_string(std::string_view text) {
       spec.engine.cache_quantum = parse_double(key, value);
     } else if (key == "dc_warm_start") {
       spec.engine.dc_warm_start = parse_bool(key, value);
-    } else if (key == "batched_draws") {
-      spec.engine.batched_draws = parse_bool(key, value);
     } else if (key == "adaptive_timestep") {
       spec.engine.adaptive_timestep = parse_bool(key, value);
     } else if (key == "recovery") {

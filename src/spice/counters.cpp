@@ -10,8 +10,6 @@ CounterSink g_process;
 
 SpiceCounters CounterSink::spice() const {
   SpiceCounters c;
-  c.batch_groups = batch_groups.load(std::memory_order_relaxed);
-  c.batch_lanes = batch_lanes.load(std::memory_order_relaxed);
   c.steps_accepted = steps_accepted.load(std::memory_order_relaxed);
   c.steps_rejected = steps_rejected.load(std::memory_order_relaxed);
   c.recovered_dc = recovered_dc.load(std::memory_order_relaxed);
@@ -39,11 +37,6 @@ void count(CounterSink::Counter CounterSink::*counter, std::uint64_t n) {
 SpiceCounters spice_counters() { return g_process.spice(); }
 
 WarmStartStats warm_start_stats() { return g_process.warm(); }
-
-void note_batch_group(std::uint64_t lanes) {
-  count(&CounterSink::batch_groups);
-  count(&CounterSink::batch_lanes, lanes);
-}
 
 void note_lte_steps(std::uint64_t accepted, std::uint64_t rejected) {
   count(&CounterSink::steps_accepted, accepted);

@@ -11,16 +11,16 @@
 namespace glova::spice {
 
 struct SpiceCounters {
-  /// Batched-evaluator groups run and total lanes marched across them.
+  /// Always 0: the lockstep batched evaluator that counted them is gone.
+  /// Kept only for glovabench/src/bench.cpp; delete at the next benchmark change.
   std::uint64_t batch_groups = 0;
   std::uint64_t batch_lanes = 0;
   /// LTE-adaptive timestep controller: accepted steps and rejected (redone)
-  /// steps, scalar and batched paths combined.
+  /// steps.
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
   /// Convergence-recovery ladder: DC points rescued by gmin stepping and
-  /// transient steps rescued by substep cutting / DC restart (scalar and
-  /// per-lane batched rescues combined).
+  /// transient steps rescued by substep cutting / DC restart.
   std::uint64_t recovered_dc = 0;
   std::uint64_t recovered_transient = 0;
   /// Runs aborted by the cooperative Newton-iteration deadline.
@@ -38,8 +38,6 @@ struct WarmStartStats {
 /// engine owns another.
 struct CounterSink {
   using Counter = std::atomic<std::uint64_t>;
-  Counter batch_groups{0};
-  Counter batch_lanes{0};
   Counter steps_accepted{0};
   Counter steps_rejected{0};
   Counter recovered_dc{0};
@@ -61,7 +59,6 @@ void count(CounterSink::Counter CounterSink::*counter, std::uint64_t n = 1);
 [[nodiscard]] SpiceCounters spice_counters();
 [[nodiscard]] WarmStartStats warm_start_stats();
 
-void note_batch_group(std::uint64_t lanes);
 void note_lte_steps(std::uint64_t accepted, std::uint64_t rejected);
 void note_recovered_dc();
 void note_recovered_transient();

@@ -1,5 +1,5 @@
-// MOSFET channel linearizations shared by the scalar Newton loop
-// (simulator.cpp) and the batched lockstep evaluator (batch.cpp).
+// MOSFET channel linearizations used by the Newton loop (simulator.cpp) and
+// the small-signal AC pass (ac.cpp).
 //
 // Two channel models live here behind the same linearization interface:
 //   - Level-1 square law (default): hard cutoff below Vth, the historical
@@ -9,11 +9,6 @@
 //     channel conducts continuously from weak through strong inversion and
 //     gm/gds stay consistent analytic derivatives of Id.  See
 //     docs/architecture.md#mos-models.
-//
-// Both translation units are compiled with GLOVA_SPICE_KERNEL_FLAGS, and the
-// functions are inline, so the scalar and batched paths evaluate the exact
-// same floating-point expressions — a requirement for the batched path's
-// bit-identical parity with sequential evaluation.
 #pragma once
 
 #include <cmath>

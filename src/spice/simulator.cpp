@@ -105,7 +105,12 @@ const FaultPlan::Site* FaultPlan::match(std::uint64_t index) const {
 void set_thread_fault_plan(const FaultPlan* plan) { t_fault_plan = plan; }
 const FaultPlan* thread_fault_plan() { return t_fault_plan; }
 
-std::string row_label(const Circuit& circuit, const StampPlan& plan, std::size_t row) {
+namespace {
+
+/// Human-readable label for one row of the solved system: the node name for
+/// unknown-node rows, "branch <k>" for branch-current rows.
+[[nodiscard]] std::string row_label(const Circuit& circuit, const StampPlan& plan,
+                                    std::size_t row) {
   if (row < plan.unknown_node_count()) {
     for (NodeId nd = 1; nd < circuit.node_count(); ++nd) {
       if (plan.node_is_unknown(nd) && plan.x_slot(nd) == row) return circuit.node_name(nd);
@@ -114,6 +119,9 @@ std::string row_label(const Circuit& circuit, const StampPlan& plan, std::size_t
   return "branch " + std::to_string(row);
 }
 
+/// Fill `report`'s residual fields from the last failed Newton iterate `x`:
+/// computes the true KCL residual (plan state must still be the failing
+/// solve's begin_solve) and records the worst row's magnitude and label.
 void note_worst_residual(const Circuit& circuit, StampPlan& plan, std::span<const double> x,
                          FailureReport& report) {
   const std::size_t n = plan.unknown_count();
@@ -131,6 +139,8 @@ void note_worst_residual(const Circuit& circuit, StampPlan& plan, std::span<cons
   report.final_residual = worst_abs;
   report.worst_node = row_label(circuit, plan, worst);
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // TransientResult
@@ -527,13 +537,9 @@ void StampPlan::load_pinned(std::span<double> x) const {
   x[n_ + pinned_.size()] = 0.0;  // ground slot
 }
 
-void StampPlan::load_static(DenseMatrix& g, std::span<double> rhs) const {
+void StampPlan::stamp(std::span<const double> x, DenseMatrix& g, std::span<double> rhs) const {
   std::copy(static_g_.begin(), static_g_.end(), g.data());
   std::copy(rhs_base_.begin(), rhs_base_.end(), rhs.begin());
-}
-
-void StampPlan::stamp(std::span<const double> x, DenseMatrix& g, std::span<double> rhs) const {
-  load_static(g, rhs);
   double* gd = g.data();
   double* rd = rhs.data();
 
@@ -645,9 +651,16 @@ double Simulator::voltage_of(const std::vector<double>& x, NodeId node) const {
   return x[plan_.x_slot(node)];
 }
 
-bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
-                       SimulatorWorkspace& ws, const AssemblyInputs& in, std::vector<double>& x,
-                       int& iterations) {
+namespace {
+
+/// One damped Newton solve over an already-compiled plan: begin_solve,
+/// load_pinned, then iterate stamp / fused factor-solve / clamped update
+/// until the maximum node-voltage change drops below vtol.  `x` is the
+/// initial guess on entry and the converged iterate on exit (padded
+/// layout); `iterations` is incremented by the iterations spent.
+[[nodiscard]] bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
+                                     SimulatorWorkspace& ws, const AssemblyInputs& in,
+                                     std::vector<double>& x, int& iterations) {
   const std::size_t n = plan.unknown_count();
   const std::size_t nu = plan.unknown_node_count();
   ws.prepare(n);
@@ -712,9 +725,16 @@ bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
   return false;
 }
 
-OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
-                              const SimulatorOptions& options, SimulatorWorkspace& ws,
-                              const OpResult* warm_start, FailureReport* failure, double time) {
+/// DC operating point over an already-compiled plan, including the warm
+/// start attempt, cold restart, source-stepping fallback, and (when
+/// options.recovery.enabled) the gmin-stepping ladder.  `failure`, when
+/// non-null, receives the structured report on non-convergence.  `time`
+/// freezes source waveforms at a transient instant for the restart-from-DC
+/// recovery rung (0 = the conventional t=0 operating point).
+[[nodiscard]] OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
+                                            const SimulatorOptions& options,
+                                            SimulatorWorkspace& ws, const OpResult* warm_start,
+                                            FailureReport* failure = nullptr, double time = 0.0) {
   const std::size_t n_nodes = circuit.node_count();
   const std::size_t n_vsrc = circuit.vsources().size();
   OpResult result;
@@ -826,6 +846,8 @@ OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
   }
   return result;
 }
+
+}  // namespace
 
 bool Simulator::newton_solve(const AssemblyInputs& in, std::vector<double>& x, int& iterations) {
   return newton_solve_plan(plan_, options_, *workspace_, in, x, iterations);

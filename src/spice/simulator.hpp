@@ -82,9 +82,7 @@ enum class FailureStage : std::uint8_t {
 
 /// Structured failure taxonomy replacing the bare error string: what stage
 /// gave up, at what simulated time, how many recovery rungs were tried, and
-/// the worst KCL-residual row of the last failed iterate.  Both the scalar
-/// and the batched evaluator fill the same report, so failure messages are
-/// identical across the two paths.
+/// the worst KCL-residual row of the last failed iterate.
 struct FailureReport {
   FailureStage stage = FailureStage::None;
   double time = 0.0;           ///< [s] simulated time of the failing solve
@@ -192,17 +190,17 @@ struct SimulatorOptions {
 
   /// MOSFET channel model.  kLevel1 (default) is the historical square law
   /// with hard sub-Vth cutoff — every pinned baseline was recorded against
-  /// it.  kEkv switches every channel evaluation (scalar Newton loop,
-  /// StampPlan companion pass, batched device-major loop) to the continuous
+  /// it.  kEkv switches every channel evaluation (StampPlan companion pass,
+  /// residual and branch-current recovery) to the continuous
   /// weak/strong-inversion interpolation in mos_model.hpp.
   MosModel mos_model = MosModel::kLevel1;
 
   /// Convergence-recovery ladder (see RecoveryPolicy); off by default.
   RecoveryPolicy recovery;
-  /// Cooperative evaluation deadline: abort a run (DC + transient combined;
-  /// per lane in the batched evaluator) once this many Newton iterations
-  /// were spent, reporting FailureStage::Deadline.  Checked between solves,
-  /// so the abort point is deterministic.  0 = no deadline.
+  /// Cooperative evaluation deadline: abort a run (DC + transient combined)
+  /// once this many Newton iterations were spent, reporting
+  /// FailureStage::Deadline.  Checked between solves, so the abort point is
+  /// deterministic.  0 = no deadline.
   std::uint64_t deadline_newton_iterations = 0;
 };
 
@@ -253,9 +251,9 @@ class ScopedEvalContext {
 /// Deterministic fault injection for tests and benches (off by default).
 /// A plan is installed thread-locally; while one is installed, every Newton
 /// solve on that thread consumes one solve index (DC attempts,
-/// source-stepping and gmin rungs, timestep solves, and batched lanes in
-/// lane order all count), and a site whose half-open [begin, end) range
-/// covers the index forces the chosen failure mode on that solve.
+/// source-stepping and gmin rungs, and timestep solves all count), and a
+/// site whose half-open [begin, end) range covers the index forces the
+/// chosen failure mode on that solve.
 struct FaultPlan {
   enum class Kind : std::uint8_t {
     NanStamp,        ///< poison the assembled RHS with a NaN
@@ -296,8 +294,7 @@ struct AssemblyInputs {
   /// 0 outside the recovery ladder, and always 0 on the solve that counts).
   double extra_gmin = 0.0;
   /// Previous-timepoint solution in padded layout (see StampPlan::padded_size);
-  /// required in Transient mode.  A span so the batched evaluator can point
-  /// it at one lane of its lane-strided state without copying.
+  /// required in Transient mode.
   std::span<const double> x_prev{};
   /// Per-capacitor branch current i_n (trapezoidal companion); Transient only.
   std::span<const double> cap_current_prev{};
@@ -327,21 +324,6 @@ struct AssemblyInputs {
 class StampPlan {
  public:
   StampPlan(const Circuit& circuit, const SimulatorOptions& options);
-
-  /// One MOSFET's resolved stamp targets: Jacobian / RHS / iterate-read
-  /// slots plus the hoisted device parameters.  Exposed so the batched
-  /// evaluator can run its device-major companion pass across lanes; slot
-  /// indices are identical across structurally congruent circuits (same
-  /// topology, element order, and node order — only values differing).
-  struct MosStamp {
-    std::size_t j_dg, j_dd, j_ds;  ///< drain-row Jacobian slots
-    std::size_t j_sg, j_sd, j_ss;  ///< source-row Jacobian slots
-    std::size_t rhs_d, rhs_s;
-    std::size_t xg, xd, xs;        ///< padded solution reads
-    double mg, md, ms;             ///< 1.0 iff that terminal is an unknown node
-    const pdk::MosParams* params;
-    double w_over_l;               ///< hoisted out of the Newton loop
-  };
 
   /// Solved unknowns: free node voltages, then branch currents.
   [[nodiscard]] std::size_t unknown_count() const { return n_; }
@@ -387,21 +369,6 @@ class StampPlan {
   /// sized to unknown_count().
   void stamp(std::span<const double> x, DenseMatrix& g, std::span<double> rhs) const;
 
-  /// The linear half of stamp(): copy the cached static matrix / RHS base
-  /// into `g` / `rhs` without the MOSFET companion pass.  The batched
-  /// evaluator uses this so it can interleave the nonlinear pass
-  /// device-major across lanes.  Preconditions as stamp().
-  void load_static(DenseMatrix& g, std::span<double> rhs) const;
-
-  /// Per-MOSFET stamp records in circuit order (see MosStamp).
-  [[nodiscard]] std::span<const MosStamp> mos_stamps() const { return mosfets_; }
-
-  /// Channel model every MOSFET in this plan is linearized with (captured
-  /// from SimulatorOptions at construction).  The batched evaluator reads it
-  /// so its device-major companion pass evaluates the exact expressions the
-  /// scalar loop does.
-  [[nodiscard]] MosModel mos_model() const { return mos_model_; }
-
   /// True nonlinear KCL residual at iterate `x` for the current solve:
   /// r = G_static * x + i_mos(x) - rhs_base, row for row the amount by which
   /// the assembled equations are violated.  Failure reports use it to name
@@ -419,6 +386,17 @@ class StampPlan {
                         double time, double source_scale, std::span<double> out) const;
 
  private:
+  /// One MOSFET's resolved stamp targets: Jacobian / RHS / iterate-read
+  /// slots plus the hoisted device parameters.
+  struct MosStamp {
+    std::size_t j_dg, j_dd, j_ds;  ///< drain-row Jacobian slots
+    std::size_t j_sg, j_sd, j_ss;  ///< source-row Jacobian slots
+    std::size_t rhs_d, rhs_s;
+    std::size_t xg, xd, xs;        ///< padded solution reads
+    double mg, md, ms;             ///< 1.0 iff that terminal is an unknown node
+    const pdk::MosParams* params;
+    double w_over_l;               ///< hoisted out of the Newton loop
+  };
   struct LinearStamp {
     std::size_t slot;
     double value;
@@ -540,41 +518,6 @@ struct SimulatorWorkspace {
 /// explicit workspace use this one, so repeated evaluations on a worker
 /// thread (the common testbench pattern) reuse the same buffers.
 [[nodiscard]] SimulatorWorkspace& thread_local_workspace();
-
-/// One damped Newton solve over an already-compiled plan: begin_solve,
-/// load_pinned, then iterate stamp / fused factor-solve / clamped update
-/// until the maximum node-voltage change drops below vtol.  `x` is the
-/// initial guess on entry and the converged iterate on exit (padded
-/// layout); `iterations` is incremented by the iterations spent.  This is
-/// the kernel behind Simulator::operating_point / transient, shared with
-/// the batched evaluator so both paths run bit-identical arithmetic.
-[[nodiscard]] bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
-                                     SimulatorWorkspace& ws, const AssemblyInputs& in,
-                                     std::vector<double>& x, int& iterations);
-
-/// DC operating point over an already-compiled plan, including the warm
-/// start attempt, cold restart, source-stepping fallback, and (when
-/// options.recovery.enabled) the gmin-stepping ladder (see
-/// Simulator::operating_point, which delegates here).  `failure`, when
-/// non-null, receives the structured report on non-convergence.  `time`
-/// freezes source waveforms at a transient instant for the restart-from-DC
-/// recovery rung (0 = the conventional t=0 operating point).
-[[nodiscard]] OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
-                                            const SimulatorOptions& options,
-                                            SimulatorWorkspace& ws, const OpResult* warm_start,
-                                            FailureReport* failure = nullptr, double time = 0.0);
-
-/// Human-readable label for one row of the solved system: the node name for
-/// unknown-node rows, "branch <k>" for branch-current rows.  Used by failure
-/// reports to name the worst-residual row.
-[[nodiscard]] std::string row_label(const Circuit& circuit, const StampPlan& plan,
-                                    std::size_t row);
-
-/// Fill `report`'s residual fields from the last failed Newton iterate `x`:
-/// computes the true KCL residual (plan state must still be the failing
-/// solve's begin_solve) and records the worst row's magnitude and label.
-void note_worst_residual(const Circuit& circuit, StampPlan& plan, std::span<const double> x,
-                         FailureReport& report);
 
 class Simulator {
  public:

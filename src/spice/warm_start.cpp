@@ -79,27 +79,4 @@ void WarmSeed::settle(const TransientResult& result) const {
   }
 }
 
-void WarmSeed::settle(std::span<const TransientResult> results) const {
-  if (!enabled_) return;
-  DcWarmStartCache& cache = thread_local_dc_cache();
-  std::uint64_t warmed = 0;
-  for (const TransientResult& r : results) {
-    if (!r.ok) continue;
-    if (r.dc_op.warm_started) {
-      ++warmed;
-    } else {
-      // The sequential path stores on a miss and refreshes after a failed
-      // warm attempt; both present as a successful cold solve.
-      cache.store(key_, r.dc_op);
-    }
-  }
-  // The group's single lookup already counted one hit when it returned a
-  // seed that lane 0 then used; every other successful warm start replaced
-  // a per-draw lookup the sequential path would have counted as a hit.
-  const bool lookup_hit_used = seed_ != nullptr && !results.empty() && results.front().ok &&
-                               results.front().dc_op.warm_started;
-  const std::uint64_t counted = lookup_hit_used ? 1 : 0;
-  if (warmed > counted) count(&CounterSink::warm_hits, warmed - counted);
-}
-
 }  // namespace glova::spice

@@ -100,18 +100,11 @@ class WarmSeed {
   /// The Newton seed for transient(); nullptr on a miss or with warm start off.
   [[nodiscard]] const OpResult* get() const { return seed_; }
 
-  /// Sequential path: store on a cache miss, and also refresh whenever the
-  /// cached seed went unused (the warm attempt failed and the cold fallback
-  /// converged), so a stale entry cannot keep charging the failed-warm-attempt
-  /// tax to every later draw of the design.
+  /// Store on a cache miss, and also refresh whenever the cached seed went
+  /// unused (the warm attempt failed and the cold fallback converged), so a
+  /// stale entry cannot keep charging the failed-warm-attempt tax to every
+  /// later draw of the design.
   void settle(const TransientResult& result) const;
-
-  /// Batched path, after BatchSimulator::transient(spec, get()) rolled the
-  /// seed forward across lanes: replays the per-draw bookkeeping.  Every lane
-  /// that cold-solved stores (refreshing a stale entry exactly as the
-  /// per-draw rule would), and every successful warm start beyond the one
-  /// the lookup already counted is credited as a hit.
-  void settle(std::span<const TransientResult> results) const;
 
  private:
   bool enabled_;

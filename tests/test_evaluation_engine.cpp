@@ -1,8 +1,9 @@
 // Tests for the EvaluationEngine: memoization-cache correctness (hits return
 // identical metrics, distinct mismatch draws never alias), counter semantics
 // (requested == hits + executed == simulation_count()), LRU bounding, the
-// parallelism cap, the future-based submission path, and the isolation of
-// engines with different SPICE numerics sharing one process.
+// parallelism cap, the future-based submission path, the isolation of
+// engines with different SPICE numerics sharing one process, and the parallel
+// SPICE path's bit-identity to direct evaluation.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -425,13 +426,12 @@ TEST(EngineIsolation, EachEngineComputesAsIfAlone) {
 
 TEST(EngineIsolation, EngineCountersPartitionTheProcessTotals) {
   const SalSpiceRun run;
-  EngineConfig batched = SalSpiceRun::config("ekv", true);
-  batched.batched_draws = true;
-  batched.adaptive_timestep = true;
+  EngineConfig adaptive = SalSpiceRun::config("ekv", true);
+  adaptive.adaptive_timestep = true;
   const spice::SpiceCounters spice_before = spice::spice_counters();
   const spice::WarmStartStats warm_before = spice::warm_start_stats();
   const auto a = SalSpiceRun::engine(SalSpiceRun::config("level1", true));
-  const auto b = SalSpiceRun::engine(batched);
+  const auto b = SalSpiceRun::engine(adaptive);
   std::thread other([&] { (void)run.step(*b); });
   (void)run.step(*a);
   other.join();
@@ -442,13 +442,10 @@ TEST(EngineIsolation, EngineCountersPartitionTheProcessTotals) {
   const spice::SpiceCounters sp = spice::spice_counters();
   const spice::WarmStartStats warm = spice::warm_start_stats();
   EXPECT_GT(sa.dc_warm_hits + sa.dc_warm_misses, 0u);
-  EXPECT_GT(sb.batch_groups, 0u);
   EXPECT_GT(sb.steps_accepted, 0u);
   EXPECT_EQ(sa.dc_warm_hits + sb.dc_warm_hits, warm.hits - warm_before.hits);
   EXPECT_EQ(sa.dc_warm_misses + sb.dc_warm_misses, warm.misses - warm_before.misses);
   EXPECT_EQ(sa.dc_warm_stores + sb.dc_warm_stores, warm.stores - warm_before.stores);
-  EXPECT_EQ(sa.batch_groups + sb.batch_groups, sp.batch_groups - spice_before.batch_groups);
-  EXPECT_EQ(sa.batch_lanes + sb.batch_lanes, sp.batch_lanes - spice_before.batch_lanes);
   EXPECT_EQ(sa.steps_accepted + sb.steps_accepted,
             sp.steps_accepted - spice_before.steps_accepted);
   EXPECT_EQ(sa.steps_rejected + sb.steps_rejected,
@@ -458,6 +455,54 @@ TEST(EngineIsolation, EngineCountersPartitionTheProcessTotals) {
             sp.recovered_transient - spice_before.recovered_transient);
   EXPECT_EQ(sa.deadline_aborts + sb.deadline_aborts,
             sp.deadline_aborts - spice_before.deadline_aborts);
+}
+
+// ---------------------------------------------------------------------------
+// The engine's parallel SPICE path against direct evaluation.
+
+/// Testbench::evaluate with the engine's failure semantics (no retries, no
+/// degradation): a draw that does not converge resolves to the backend's
+/// penalty metrics.
+std::vector<double> evaluate_direct(const circuits::Testbench& tb, std::span<const double> x,
+                                    const pdk::PvtCorner& corner, std::span<const double> h) {
+  try {
+    return tb.evaluate(x, corner, h);
+  } catch (const circuits::EvaluationError& e) {
+    return e.penalty_metrics();
+  }
+}
+
+// With the DC warm start off, an engine fanning one draw batch out over the
+// pool computes every draw exactly as a bare Testbench::evaluate on this
+// thread, with no evaluation context installed, does: the thread a draw
+// lands on and the draws before it on that thread leave no trace.  Monte
+// Carlo sign-off relies on this.
+TEST(EvaluationEngine, SpiceBatchMatchesDirectEvaluateWithWarmStartOff) {
+  const auto op_config = OperationalConfig::for_method(VerifMethod::C_MCL);
+  EngineConfig cfg;
+  cfg.dc_warm_start = false;
+  for (const circuits::Testcase tc : circuits::all_testcases()) {
+    const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
+    EvaluationEngine engine(tb, cfg);
+    Rng rng = Rng(17).split(static_cast<std::uint64_t>(tc));
+    std::vector<double> x01(tb->sizing().dimension());
+    for (double& v : x01) v = rng.uniform();
+    const auto x = tb->sizing().denormalize(x01);
+    const auto hs = pdk::sample_mismatch_set(tb->mismatch_layout(x, op_config.global_mismatch),
+                                             cfg.min_parallel_batch + 4, rng,
+                                             pdk::GlobalMode::Zero);
+    ASSERT_GE(hs.size(), cfg.min_parallel_batch);
+    for (const pdk::PvtCorner& corner : op_config.corners) {
+      const auto batch = engine.evaluate_batch(x, corner, hs);
+      ASSERT_EQ(batch.size(), hs.size());
+      for (std::size_t i = 0; i < hs.size(); ++i) {
+        const auto direct = evaluate_direct(*tb, x, corner, hs[i]);
+        EXPECT_TRUE(bit_identical({batch[i]}, {direct}))
+            << circuits::to_string(tc) << " corner " << corner.name() << " draw " << i;
+      }
+    }
+    EXPECT_EQ(engine.stats().executed, hs.size() * op_config.corners.size());
+  }
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ std::string fresh_dir(const std::string& name) {
 
 core::MemoCacheFile sample_file() {
   core::MemoCacheFile file;
-  file.tag = "sample-bench|q=1e-15|warm=1|batched=0|adaptive=0|recovery=0"
+  file.tag = "sample-bench|q=1e-15|warm=1|adaptive=0|recovery=0"
              "|retries=0|deadline=0|degrade=0";
   file.entries.push_back({{1, -2, 3}, {0.5, -1.25}});
   file.entries.push_back({{4, 5}, {3.0}});
@@ -373,7 +373,7 @@ TEST(Surrogate, OnAndOffEnginesWriteTheOneStateFrame) {
   (void)off.evaluate_one(midpoint_design(*tb), pdk::typical_corner(), {});
   core::EvaluationEngine off_reload(tb);
   const std::string state_off = expect_state_round_trip(off, off_reload);
-  EXPECT_EQ(state_off.rfind("engine-state 3\n", 0), 0u);
+  EXPECT_EQ(state_off.rfind("engine-state 4\n", 0), 0u);
   EXPECT_NE(state_off.find("\nsurrogate-counters 0 0\nsurrogate-model 0\n"), std::string::npos)
       << state_off;
 
@@ -388,11 +388,11 @@ TEST(Surrogate, OnAndOffEnginesWriteTheOneStateFrame) {
   ASSERT_GT(on.stats().surrogate_train_steps, 0u);
   core::EvaluationEngine on_reload(std::make_shared<PlaneBench>(), cfg);
   const std::string state_on = expect_state_round_trip(on, on_reload);
-  EXPECT_EQ(state_on.rfind("engine-state 3\n", 0), 0u);
+  EXPECT_EQ(state_on.rfind("engine-state 4\n", 0), 0u);
   EXPECT_NE(state_on.find("\nsurrogate-model 1\n"), std::string::npos);
 
   // Frames of earlier builds are rejected by version, naming the one read.
-  for (const char* old_version : {"1", "2"}) {
+  for (const char* old_version : {"1", "2", "3"}) {
     std::istringstream in(std::string("engine-state ") + old_version +
                           state_off.substr(state_off.find('\n')));
     core::EvaluationEngine target(tb);
@@ -401,7 +401,7 @@ TEST(Surrogate, OnAndOffEnginesWriteTheOneStateFrame) {
       ADD_FAILURE() << "engine-state " << old_version << " loaded";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("unsupported engine-state version " +
-                                           std::string(old_version) + " (this build reads 3)"),
+                                           std::string(old_version) + " (this build reads 4)"),
                 std::string::npos)
           << e.what();
     }

@@ -559,15 +559,19 @@ TEST(Server, SpoolJobFromAnEarlierBuildFailsWithTheUnknownKey) {
   sweep.algorithms = {core::Algorithm::Glova};
   sweep.base.max_iterations = 4;
 
-  // A job record as earlier builds spooled it: its spec still carries the
-  // key of the removed Newton LU-bypass.
-  const std::string removed_key = "newton_bypass";
-  std::string old_spec = sweep.to_string();
+  // Job records as earlier builds spooled them: each spec still carries the
+  // key of one removed knob (the Newton LU-bypass, the lockstep batched
+  // draw evaluator).
+  const std::vector<std::string> removed_keys = {"newton_bypass", "batched_draws"};
   const std::string anchor = "adaptive_timestep=0 ";
-  const std::size_t at = old_spec.find(anchor);
-  ASSERT_NE(at, std::string::npos) << old_spec;
-  old_spec.insert(at + anchor.size(), removed_key + "=0 ");
-  serve::JobStore(spool).save_job({"job-000001", "alice", old_spec});
+  const auto job_id = [](std::size_t n) { return "job-00000" + std::to_string(n); };
+  for (std::size_t k = 0; k < removed_keys.size(); ++k) {
+    std::string old_spec = sweep.to_string();
+    const std::size_t at = old_spec.find(anchor);
+    ASSERT_NE(at, std::string::npos) << old_spec;
+    old_spec.insert(at + anchor.size(), removed_keys[k] + "=0 ");
+    serve::JobStore(spool).save_job({job_id(k + 1), "alice", old_spec});
+  }
 
   serve::ServerConfig config;
   config.spool_dir = spool;
@@ -577,19 +581,23 @@ TEST(Server, SpoolJobFromAnEarlierBuildFailsWithTheUnknownKey) {
   TestClient client(server.port());
   ASSERT_TRUE(client.connected());
 
-  const std::string status = wait_terminal(client, "job-000001");
-  ASSERT_NE(status.find(" Failed "), std::string::npos) << status;
-  const std::string head = client.request("RESULT job-000001");
-  EXPECT_EQ(head, "OK job-000001 Failed");
-  const std::vector<std::string> payload = client.read_payload();
-  ASSERT_EQ(payload.size(), 1u);
-  EXPECT_NE(payload[0].find("unknown key '" + removed_key + "'"), std::string::npos) << payload[0];
+  for (std::size_t k = 0; k < removed_keys.size(); ++k) {
+    const std::string id = job_id(k + 1);
+    const std::string status = wait_terminal(client, id);
+    ASSERT_NE(status.find(" Failed "), std::string::npos) << status;
+    const std::string head = client.request("RESULT " + id);
+    EXPECT_EQ(head, "OK " + id + " Failed");
+    const std::vector<std::string> payload = client.read_payload();
+    ASSERT_EQ(payload.size(), 1u);
+    EXPECT_NE(payload[0].find("unknown key '" + removed_keys[k] + "'"), std::string::npos)
+        << payload[0];
+  }
 
-  // The failed recovery leaves the server healthy: a fresh job runs to Done.
+  // The failed recoveries leave the server healthy: a fresh job runs to Done.
   const std::string submitted = client.request("SUBMIT alice " + sweep.to_string());
   ASSERT_EQ(submitted.rfind("OK ", 0), 0u) << submitted;
-  EXPECT_EQ(submitted.substr(3), "job-000002");
-  const std::string fresh = wait_terminal(client, "job-000002");
+  EXPECT_EQ(submitted.substr(3), job_id(removed_keys.size() + 1));
+  const std::string fresh = wait_terminal(client, job_id(removed_keys.size() + 1));
   EXPECT_NE(fresh.find(" Done "), std::string::npos) << fresh;
 
   server.stop(true);

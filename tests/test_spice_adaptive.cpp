@@ -1,15 +1,19 @@
 // LTE-adaptive timestep tests: controller bookkeeping (accepted/rejected
 // counters, dt trace) on a stiff clocked circuit, agreement with the fixed
-// reference grid, and the process-wide step counters the evaluation engine
-// surfaces.
+// reference grid (on that circuit and on every SPICE testbench's metrics),
+// and the process-wide step counters the evaluation engine surfaces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "backend_parity_grid.hpp"
+#include "circuits/registry.hpp"
+#include "common/rng.hpp"
 #include "pdk/corner.hpp"
 #include "pdk/mos_params.hpp"
+#include "pdk/variation.hpp"
 #include "spice/circuit.hpp"
 #include "spice/counters.hpp"
 #include "spice/simulator.hpp"
@@ -123,6 +127,42 @@ TEST(AdaptiveTimestep, ProcessCountersMirrorResultCounters) {
   const SpiceCounters c = counted.sink().spice();
   EXPECT_EQ(c.steps_accepted, res.steps_accepted);
   EXPECT_EQ(c.steps_rejected, res.steps_rejected);
+}
+
+// On the testbenches the adaptive and fixed grids differ, so metrics agree
+// only within the controller's truncation-error tolerance.  The 3% band is
+// ~4x the worst deviation observed across the parity grid (see
+// docs/architecture.md).  Warm start off on both sides: each draw is a cold
+// solve, so the comparison does not depend on evaluation order.
+TEST(AdaptiveTimestep, TestbenchMetricsStayWithinToleranceBand) {
+  EvalContext adaptive;
+  adaptive.options.adaptive_timestep = true;
+  for (const circuits::Testcase tc : circuits::all_testcases()) {
+    const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
+    const auto designs = parity_grid::designs_x01(tc);
+    for (std::size_t d = 0; d < 2; ++d) {  // two designs bound the runtime
+      const auto x = tb->sizing().denormalize(designs[d]);
+      Rng rng(100 + d);
+      auto hs = pdk::sample_mismatch_set(tb->mismatch_layout(x, false), 2, rng,
+                                         pdk::GlobalMode::Zero);
+      hs.insert(hs.begin(), std::vector<double>{});
+      for (const pdk::PvtCorner& corner : parity_grid::corners()) {
+        for (std::size_t i = 0; i < hs.size(); ++i) {
+          const std::vector<double> ref = tb->evaluate(x, corner, hs[i]);
+          const std::vector<double> got = [&] {
+            const ScopedTestContext scope(adaptive);
+            return tb->evaluate(x, corner, hs[i]);
+          }();
+          ASSERT_EQ(got.size(), ref.size());
+          for (std::size_t mi = 0; mi < ref.size(); ++mi) {
+            EXPECT_NEAR(got[mi], ref[mi], 0.03 * std::abs(ref[mi]) + 1e-12)
+                << circuits::to_string(tc) << " design " << d << " corner " << corner.name()
+                << " draw " << i << " metric " << mi;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
