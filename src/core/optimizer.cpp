@@ -177,7 +177,8 @@ bool GlovaOptimizer::do_step() {
   const circuits::PerformanceSpec& spec = testbench_->performance();
 
   // (1) new design from the actor, screened by the ensemble bound (Eq. 6).
-  std::vector<double> x_new = s.agent->propose_screened(s.x_last, 8);
+  rl::RiskSensitiveAgent::Proposal proposal = s.agent->propose_screened(s.x_last, 8);
+  std::vector<double> x_new = std::move(proposal.x);
   const auto x_phys = sizing.denormalize(x_new);
 
   // (2) worst corner + N' mismatch conditions via Eq. (3).
@@ -196,9 +197,8 @@ bool GlovaOptimizer::do_step() {
   IterationTrace trace;
   trace.iteration = iter;
   trace.reward_worst = r_worst;
-  const rl::EnsembleCritic::Bound bound = s.agent->critic().bound(x_new);
-  trace.critic_mean = bound.mean;
-  trace.critic_bound = bound.risk_adjusted;
+  trace.critic_mean = proposal.bound.mean;
+  trace.critic_bound = proposal.bound.risk_adjusted;
   trace.mu_sigma_pass = gate;
 
   double r_store = r_worst;

@@ -89,20 +89,16 @@ void SurrogateModel::observe(std::span<const double> input, std::span<const doub
     out_mean_[j] += d / static_cast<double>(observations_);
     out_m2_[j] += d * (metrics[j] - out_mean_[j]);
   }
-  std::vector<double> zx(input.size());
-  for (std::size_t j = 0; j < input.size(); ++j) zx[j] = (input[j] - in_mean_[j]) / in_std(j);
-  std::vector<double> zt(metrics.size());
-  for (std::size_t j = 0; j < metrics.size(); ++j) {
-    zt[j] = (metrics[j] - out_mean_[j]) / out_std(j);
-  }
-  nn::Mlp::Workspace ws;
-  const std::vector<double> y = mlp_->forward(zx, ws);
-  std::vector<double> dLdy(y.size());
+  zx_.resize(input.size());
+  for (std::size_t j = 0; j < input.size(); ++j) zx_[j] = (input[j] - in_mean_[j]) / in_std(j);
+  const std::span<const double> y = mlp_->forward(zx_, ws_);
+  dLdy_.resize(y.size());
   for (std::size_t j = 0; j < y.size(); ++j) {
-    dLdy[j] = (y[j] - zt[j]) / static_cast<double>(y.size());
+    const double zt = (metrics[j] - out_mean_[j]) / out_std(j);
+    dLdy_[j] = (y[j] - zt) / static_cast<double>(y.size());
   }
   std::fill(grad_.begin(), grad_.end(), 0.0);
-  (void)mlp_->backward(ws, dLdy, grad_);
+  mlp_->backward(ws_, dLdy_, grad_);
   adam_->step(mlp_->parameters(), grad_);
   ++train_steps_;
 }

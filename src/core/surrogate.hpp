@@ -84,7 +84,11 @@ class SurrogateModel {
   std::uint64_t train_steps_ = 0;
   /// Running per-coordinate mean and sum of squared deviations (Welford).
   std::vector<double> in_mean_, in_m2_, out_mean_, out_m2_;
-  std::vector<double> grad_;  ///< parameter-gradient scratch
+  // observe() scratch, reused so a warm training step allocates nothing.
+  std::vector<double> grad_;
+  std::vector<double> zx_;
+  std::vector<double> dLdy_;
+  nn::Mlp::Workspace ws_;
 };
 
 }  // namespace glova::core

@@ -18,14 +18,22 @@ void Adam::step(std::span<double> params, std::span<const double> grad) {
   ++t_;
   const double b1 = config_.beta1;
   const double b2 = config_.beta2;
+  const double lr = config_.learning_rate;
+  const double eps = config_.epsilon;
   const double bias1 = 1.0 - std::pow(b1, static_cast<double>(t_));
   const double bias2 = 1.0 - std::pow(b2, static_cast<double>(t_));
+  double* __restrict p = params.data();
+  const double* __restrict g = grad.data();
+  double* __restrict m = m_.data();
+  double* __restrict v = v_.data();
+  // One fused pass; with -fno-math-errno the sqrt needs no errno branch and
+  // the loop vectorizes (vsqrtpd is correctly rounded, so the bits match).
   for (std::size_t i = 0; i < params.size(); ++i) {
-    m_[i] = b1 * m_[i] + (1.0 - b1) * grad[i];
-    v_[i] = b2 * v_[i] + (1.0 - b2) * grad[i] * grad[i];
-    const double m_hat = m_[i] / bias1;
-    const double v_hat = v_[i] / bias2;
-    params[i] -= config_.learning_rate * m_hat / (std::sqrt(v_hat) + config_.epsilon);
+    m[i] = b1 * m[i] + (1.0 - b1) * g[i];
+    v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
+    const double m_hat = m[i] / bias1;
+    const double v_hat = v[i] / bias2;
+    p[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
   }
 }
 

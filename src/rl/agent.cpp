@@ -1,7 +1,6 @@
 #include "rl/agent.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <ostream>
@@ -42,33 +41,26 @@ double RiskSensitiveAgent::update(const WorstCaseReplayBuffer& buffer) {
 
   // --- critic: each base model trains on its own batch (Sec. IV-B) ---
   for (std::size_t i = 0; i < critic_.ensemble_size(); ++i) {
-    const std::vector<Experience> batch = buffer.sample(config_.batch_size, rng_);
-    std::vector<std::vector<double>> xs;
-    std::vector<double> rs;
-    xs.reserve(batch.size());
-    rs.reserve(batch.size());
-    for (const Experience& e : batch) {
-      xs.push_back(e.x01);
-      rs.push_back(e.reward);
-    }
-    critic_.train_base(i, xs, rs);
+    buffer.sample(config_.batch_size, rng_, batch_);
+    critic_.train_base(i, batch_);
   }
 
   // --- actor: minimize MSE(0.2, Q(A(x)) + bias) through the frozen critic ---
-  const std::vector<Experience> batch = buffer.sample(config_.batch_size, rng_);
-  std::vector<double> grad(actor_.parameter_count(), 0.0);
+  buffer.sample(config_.batch_size, rng_, batch_);
+  stack_designs(batch_, actor_.input_dim(), rows_);
+  const std::span<const double> actions = actor_.forward(rows_, actor_ws_);
+  const std::span<const EnsembleCritic::Bound> bounds = critic_.forward(actions, critic_tape_);
+  dLdq_.resize(bounds.size());
   double loss = 0.0;
-  nn::Mlp::Workspace ws;
-  const double scale = 1.0 / static_cast<double>(batch.size());
-  for (const Experience& e : batch) {
-    const std::vector<double> action = actor_.forward(e.x01, ws);
-    const double q = critic_.predict(action) + config_.critic.bias;
+  const double scale = 1.0 / static_cast<double>(bounds.size());
+  for (std::size_t n = 0; n < bounds.size(); ++n) {
+    const double q = bounds[n].risk_adjusted + config_.critic.bias;
     loss += nn::mse(q, config_.target_reward) * scale;
-    const double dLdq = nn::mse_grad_scalar(q, config_.target_reward) * scale;
-    const std::vector<double> dLda = critic_.input_gradient(action, dLdq);
-    (void)actor_.backward(ws, dLda, grad);
+    dLdq_[n] = nn::mse_grad_scalar(q, config_.target_reward) * scale;
   }
-  actor_opt_.step(actor_.parameters(), grad);
+  actor_grad_.assign(actor_.parameter_count(), 0.0);
+  actor_.backward(actor_ws_, critic_.input_gradient(critic_tape_, dLdq_), actor_grad_);
+  actor_opt_.step(actor_.parameters(), actor_grad_);
   return loss;
 }
 
@@ -81,25 +73,36 @@ std::vector<double> RiskSensitiveAgent::propose(std::span<const double> x_last) 
   return x_new;
 }
 
-std::vector<double> RiskSensitiveAgent::propose_screened(std::span<const double> x_last,
-                                                         std::size_t candidates) {
+RiskSensitiveAgent::Proposal RiskSensitiveAgent::propose_screened(std::span<const double> x_last,
+                                                                  std::size_t candidates) {
   const std::vector<double> mean = actor_.forward(x_last);
-  std::vector<double> best = mean;
-  double best_bound = -std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < std::max<std::size_t>(candidates, 1); ++c) {
-    std::vector<double> cand = mean;
+  const std::size_t p = mean.size();
+  const std::size_t count = std::max<std::size_t>(candidates, 1);
+  rows_.resize(count * p);
+  for (std::size_t c = 0; c < count; ++c) {
     // A fraction of candidates explore at doubled noise so the screen can
     // escape shallow local basins.
     const double sigma = (c % 4 == 3) ? 2.0 * noise_ : noise_;
-    for (double& v : cand) v = std::clamp(v + rng_.normal(0.0, sigma), 0.0, 1.0);
-    const double bound = critic_.predict(cand);
-    if (bound > best_bound) {
-      best_bound = bound;
-      best = std::move(cand);
+    for (std::size_t d = 0; d < p; ++d) {
+      rows_[c * p + d] = std::clamp(mean[d] + rng_.normal(0.0, sigma), 0.0, 1.0);
     }
   }
   noise_ = std::max(config_.noise_min, noise_ * config_.noise_decay);
-  return best;
+  // All candidates go through the ensemble as one batch; the first with the
+  // highest bound wins.
+  const std::span<const EnsembleCritic::Bound> bounds = critic_.forward(rows_, critic_tape_);
+  std::size_t best = count;
+  double best_bound = -std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < count; ++c) {
+    if (bounds[c].risk_adjusted > best_bound) {
+      best_bound = bounds[c].risk_adjusted;
+      best = c;
+    }
+  }
+  // Every bound was NaN: the unscreened actor output stands.
+  if (best == count) return {mean, critic_.forward(mean, critic_tape_)[0]};
+  const auto row = rows_.begin() + static_cast<std::ptrdiff_t>(best * p);
+  return {std::vector<double>(row, row + static_cast<std::ptrdiff_t>(p)), bounds[best]};
 }
 
 std::vector<double> RiskSensitiveAgent::act(std::span<const double> x_last) const {

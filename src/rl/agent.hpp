@@ -46,12 +46,17 @@ class RiskSensitiveAgent {
   /// clamped to [0,1]^p.
   [[nodiscard]] std::vector<double> propose(std::span<const double> x_last);
 
+  /// A screened proposal and its critic bound (equal to critic().bound(x)).
+  struct Proposal {
+    std::vector<double> x;
+    EnsembleCritic::Bound bound;
+  };
+
   /// Propose `candidates` noisy variants of the actor output and return the
   /// one with the highest risk-adjusted critic bound (Eq. 6).  This uses the
   /// ensemble exactly as Sec. IV-B intends — the reliability bound guides
   /// the search — at zero simulation cost.
-  [[nodiscard]] std::vector<double> propose_screened(std::span<const double> x_last,
-                                                     std::size_t candidates);
+  [[nodiscard]] Proposal propose_screened(std::span<const double> x_last, std::size_t candidates);
 
   /// Deterministic actor output (no exploration noise).
   [[nodiscard]] std::vector<double> act(std::span<const double> x_last) const;
@@ -74,6 +79,13 @@ class RiskSensitiveAgent {
   EnsembleCritic critic_;
   double noise_;
   std::size_t updates_ = 0;
+  // Scratch reused by every update()/propose_screened() call.
+  std::vector<const Experience*> batch_;
+  std::vector<double> rows_;  ///< designs, row by row: the actor batch or the screened candidates
+  std::vector<double> dLdq_;
+  std::vector<double> actor_grad_;
+  nn::Mlp::Workspace actor_ws_;
+  EnsembleCritic::Tape critic_tape_;
 };
 
 }  // namespace glova::rl

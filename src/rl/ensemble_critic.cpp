@@ -1,6 +1,5 @@
 #include "rl/ensemble_critic.hpp"
 
-#include <array>
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
@@ -27,73 +26,83 @@ EnsembleCritic::EnsembleCritic(std::size_t input_dim, const CriticConfig& config
 }
 
 EnsembleCritic::Bound EnsembleCritic::bound(std::span<const double> x) const {
-  Bound b;
-  std::vector<double> outs(models_.size());
-  for (std::size_t i = 0; i < models_.size(); ++i) outs[i] = models_[i].forward(x)[0];
-  double mean = 0.0;
-  for (const double o : outs) mean += o;
-  mean /= static_cast<double>(outs.size());
-  double var = 0.0;
-  for (const double o : outs) var += (o - mean) * (o - mean);
-  var = outs.size() > 1 ? var / static_cast<double>(outs.size() - 1) : 0.0;
-  b.mean = mean;
-  b.std = std::sqrt(var);
-  b.risk_adjusted = mean + config_.beta1 * b.std;
-  return b;
+  if (x.size() != models_.front().input_dim()) {
+    throw std::invalid_argument("EnsembleCritic::bound: bad design size");
+  }
+  Tape tape;
+  return forward(x, tape)[0];
 }
 
-double EnsembleCritic::predict(std::span<const double> x) const { return bound(x).risk_adjusted; }
-
-double EnsembleCritic::train_base(std::size_t i, const std::vector<std::vector<double>>& xs,
-                                  std::span<const double> rewards) {
-  if (i >= models_.size()) throw std::out_of_range("EnsembleCritic::train_base");
-  if (xs.size() != rewards.size() || xs.empty()) {
-    throw std::invalid_argument("EnsembleCritic::train_base: bad batch");
+std::span<const EnsembleCritic::Bound> EnsembleCritic::forward(std::span<const double> x,
+                                                                Tape& tape) const {
+  const std::size_t e = models_.size();
+  tape.members.resize(e);
+  for (std::size_t i = 0; i < e; ++i) {
+    const std::span<const double> y = models_[i].forward(x, tape.members[i]);
+    tape.outs.resize(y.size() * e);
+    for (std::size_t n = 0; n < y.size(); ++n) tape.outs[n * e + i] = y[n];
   }
-  nn::Mlp& model = models_[i];
-  std::vector<double> grad(model.parameter_count(), 0.0);
-  double loss = 0.0;
-  nn::Mlp::Workspace ws;
-  const double scale = 1.0 / static_cast<double>(xs.size());
-  for (std::size_t n = 0; n < xs.size(); ++n) {
-    const std::vector<double> out = model.forward(xs[n], ws);
-    const double pred = out[0] + config_.bias;
-    loss += nn::mse(pred, rewards[n]) * scale;
-    const double dLdy = nn::mse_grad_scalar(pred, rewards[n]) * scale;
-    const std::array<double, 1> dl{dLdy};
-    (void)model.backward(ws, std::span<const double>(dl.data(), 1), grad);
+  const std::size_t rows = tape.members.front().rows;
+  tape.bounds.resize(rows);
+  for (std::size_t n = 0; n < rows; ++n) {
+    const double* outs = &tape.outs[n * e];
+    double mean = 0.0;
+    for (std::size_t i = 0; i < e; ++i) mean += outs[i];
+    mean /= static_cast<double>(e);
+    double var = 0.0;
+    for (std::size_t i = 0; i < e; ++i) var += (outs[i] - mean) * (outs[i] - mean);
+    var = e > 1 ? var / static_cast<double>(e - 1) : 0.0;
+    Bound& b = tape.bounds[n];
+    b.mean = mean;
+    b.std = std::sqrt(var);
+    b.risk_adjusted = mean + config_.beta1 * b.std;
   }
-  optimizers_[i].step(model.parameters(), grad);
-  return loss;
+  return tape.bounds;
 }
 
-std::vector<double> EnsembleCritic::input_gradient(std::span<const double> x, double dLdq) const {
+std::span<const double> EnsembleCritic::input_gradient(Tape& tape,
+                                                       std::span<const double> dLdq) const {
   // Q = mean_i Q_i + beta1 * sigma.  dQ/dQ_i = 1/E + beta1 * (Q_i - mean) /
   // ((E-1) * sigma); for sigma -> 0 only the mean term survives.
   const std::size_t e = models_.size();
-  std::vector<double> outs(e);
-  std::vector<nn::Mlp::Workspace> wss(e);
-  for (std::size_t i = 0; i < e; ++i) outs[i] = models_[i].forward(x, wss[i])[0];
-  double mean = 0.0;
-  for (const double o : outs) mean += o;
-  mean /= static_cast<double>(e);
-  double var = 0.0;
-  for (const double o : outs) var += (o - mean) * (o - mean);
-  var = e > 1 ? var / static_cast<double>(e - 1) : 0.0;
-  const double sigma = std::sqrt(var);
-
-  std::vector<double> dx(x.size(), 0.0);
+  const std::size_t rows = tape.bounds.size();
+  if (dLdq.size() != rows) throw std::invalid_argument("EnsembleCritic::input_gradient: bad dLdq");
+  tape.dl.resize(rows);
+  tape.dx.assign(rows * models_.front().input_dim(), 0.0);
   for (std::size_t i = 0; i < e; ++i) {
-    double weight = 1.0 / static_cast<double>(e);
-    if (e > 1 && sigma > 1e-12) {
-      weight += config_.beta1 * (outs[i] - mean) / (static_cast<double>(e - 1) * sigma);
+    for (std::size_t n = 0; n < rows; ++n) {
+      const Bound& b = tape.bounds[n];
+      double weight = 1.0 / static_cast<double>(e);
+      if (e > 1 && b.std > 1e-12) {
+        weight += config_.beta1 * (tape.outs[n * e + i] - b.mean) /
+                  (static_cast<double>(e - 1) * b.std);
+      }
+      tape.dl[n] = dLdq[n] * weight;
     }
-    const std::array<double, 1> dl{dLdq * weight};
-    const std::vector<double> gi =
-        models_[i].input_gradient(wss[i], std::span<const double>(dl.data(), 1));
-    for (std::size_t d = 0; d < dx.size(); ++d) dx[d] += gi[d];
+    const std::span<const double> gi = models_[i].input_gradient(tape.members[i], tape.dl);
+    for (std::size_t d = 0; d < tape.dx.size(); ++d) tape.dx[d] += gi[d];
   }
-  return dx;
+  return tape.dx;
+}
+
+double EnsembleCritic::train_base(std::size_t i, std::span<const Experience* const> batch) {
+  if (i >= models_.size()) throw std::out_of_range("EnsembleCritic::train_base");
+  if (batch.empty()) throw std::invalid_argument("EnsembleCritic::train_base: empty batch");
+  nn::Mlp& model = models_[i];
+  stack_designs(batch, model.input_dim(), train_x_);
+  const std::span<const double> out = model.forward(train_x_, train_ws_);
+  train_dLdy_.resize(batch.size());
+  double loss = 0.0;
+  const double scale = 1.0 / static_cast<double>(batch.size());
+  for (std::size_t n = 0; n < batch.size(); ++n) {
+    const double pred = out[n] + config_.bias;
+    loss += nn::mse(pred, batch[n]->reward) * scale;
+    train_dLdy_[n] = nn::mse_grad_scalar(pred, batch[n]->reward) * scale;
+  }
+  train_grad_.assign(model.parameter_count(), 0.0);
+  model.backward(train_ws_, train_dLdy_, train_grad_);
+  optimizers_[i].step(model.parameters(), train_grad_);
+  return loss;
 }
 
 void EnsembleCritic::save(std::ostream& os) const {

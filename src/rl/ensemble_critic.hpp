@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "nn/adam.hpp"
 #include "nn/mlp.hpp"
+#include "rl/replay_buffer.hpp"
 
 namespace glova::rl {
 
@@ -31,25 +32,40 @@ class EnsembleCritic {
  public:
   EnsembleCritic(std::size_t input_dim, const CriticConfig& config, Rng& rng);
 
-  /// Risk-adjusted bound Q(x) of Eq. (6).
-  [[nodiscard]] double predict(std::span<const double> x) const;
-
-  /// Mean and std of the base-model outputs (Fig. 3 reproduction).
+  /// Mean and std of the base-model outputs (Fig. 3 reproduction) and the
+  /// risk-adjusted bound Q(x) of Eq. (6).
   struct Bound {
     double mean = 0.0;
     double std = 0.0;
     double risk_adjusted = 0.0;
   };
+
+  /// Caller-owned record of one ensemble forward pass over one or more
+  /// designs: every member's activations and outputs, so input_gradient()
+  /// reuses the pass.  Sized on first use; reusing it keeps
+  /// forward/input_gradient allocation-free.
+  struct Tape {
+    std::vector<nn::Mlp::Workspace> members;
+    std::vector<double> outs;   ///< rows x members
+    std::vector<Bound> bounds;  ///< one per row
+    std::vector<double> dl;     ///< per-row output gradient of one member
+    std::vector<double> dx;     ///< rows x input_dim
+  };
+
   [[nodiscard]] Bound bound(std::span<const double> x) const;
 
-  /// One gradient step of base model `i` on (x, r) targets:
-  /// L_Qi = MSE(r, Q_i(x) + bias).  Returns the batch loss.
-  double train_base(std::size_t i, const std::vector<std::vector<double>>& xs,
-                    std::span<const double> rewards);
+  /// bound() of every design in `x` (one per row of input_dim entries),
+  /// recording the pass in `tape`.  The view lives in `tape`.
+  std::span<const Bound> forward(std::span<const double> x, Tape& tape) const;
 
-  /// d Q(x) / d x of the aggregated (risk-adjusted) output, used to push
-  /// gradients into the actor.  `dLdq` scales the result.
-  [[nodiscard]] std::vector<double> input_gradient(std::span<const double> x, double dLdq) const;
+  /// dLdq[n] * dQ(x_n)/dx_n of the aggregated (risk-adjusted) output for
+  /// every row of the last forward(x, tape), used to push gradients into
+  /// the actor.  The rows x input_dim view lives in `tape`.
+  std::span<const double> input_gradient(Tape& tape, std::span<const double> dLdq) const;
+
+  /// One gradient step of base model `i` on the batch's (x01, reward)
+  /// targets: L_Qi = MSE(r, Q_i(x) + bias).  Returns the batch loss.
+  double train_base(std::size_t i, std::span<const Experience* const> batch);
 
   [[nodiscard]] std::size_t ensemble_size() const { return models_.size(); }
   [[nodiscard]] const CriticConfig& config() const { return config_; }
@@ -63,6 +79,11 @@ class EnsembleCritic {
   CriticConfig config_;
   std::vector<nn::Mlp> models_;
   std::vector<nn::Adam> optimizers_;
+  // train_base scratch.
+  std::vector<double> train_x_;  ///< batch x input_dim
+  nn::Mlp::Workspace train_ws_;
+  std::vector<double> train_dLdy_;
+  std::vector<double> train_grad_;
 };
 
 }  // namespace glova::rl

@@ -25,15 +25,23 @@ void WorstCaseReplayBuffer::add(std::vector<double> x01, double reward) {
   }
 }
 
-std::vector<Experience> WorstCaseReplayBuffer::sample(std::size_t n, Rng& rng) const {
+void WorstCaseReplayBuffer::sample(std::size_t n, Rng& rng,
+                                   std::vector<const Experience*>& out) const {
   if (entries_.empty()) throw std::logic_error("WorstCaseReplayBuffer::sample: empty");
-  std::vector<Experience> batch;
-  batch.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) batch.push_back(entries_[rng.index(entries_.size())]);
-  return batch;
+  out.clear();
+  for (std::size_t i = 0; i < n; ++i) out.push_back(&entries_[rng.index(entries_.size())]);
 }
 
 std::optional<Experience> WorstCaseReplayBuffer::best() const { return best_; }
+
+void stack_designs(std::span<const Experience* const> batch, std::size_t dim,
+                   std::vector<double>& rows) {
+  rows.clear();
+  for (const Experience* e : batch) {
+    if (e->x01.size() != dim) throw std::invalid_argument("stack_designs: bad design size");
+    rows.insert(rows.end(), e->x01.begin(), e->x01.end());
+  }
+}
 
 namespace {
 

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -30,8 +31,9 @@ class WorstCaseReplayBuffer {
   [[nodiscard]] const Experience& at(std::size_t i) const { return entries_[i]; }
 
   /// Sample `n` experiences uniformly with replacement (distinct batches per
-  /// critic base model come from distinct calls / rng streams).
-  [[nodiscard]] std::vector<Experience> sample(std::size_t n, Rng& rng) const;
+  /// critic base model come from distinct calls / rng streams) into `out`,
+  /// which is cleared first.  The pointers stay valid until the next add().
+  void sample(std::size_t n, Rng& rng, std::vector<const Experience*>& out) const;
 
   /// Best experience seen so far (highest reward), if any.
   [[nodiscard]] std::optional<Experience> best() const;
@@ -47,6 +49,12 @@ class WorstCaseReplayBuffer {
   std::vector<Experience> entries_;
   std::optional<Experience> best_;
 };
+
+/// The designs of `batch`, row by row, into `rows` (cleared first) — the
+/// layout nn::Mlp takes a minibatch in.  Throws std::invalid_argument when a
+/// design is not `dim` long.
+void stack_designs(std::span<const Experience* const> batch, std::size_t dim,
+                   std::vector<double>& rows);
 
 /// Last worst reward per PVT corner ("last worst-case buffer", Sec. III-C).
 class LastWorstBuffer {

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 
 #include "common/rng.hpp"
+#include "core/surrogate.hpp"
 #include "nn/adam.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
@@ -17,18 +20,20 @@ namespace {
 
 TEST(Activation, ValuesAndDerivatives) {
   EXPECT_DOUBLE_EQ(activate(Activation::Identity, 1.7), 1.7);
-  EXPECT_DOUBLE_EQ(activate_grad(Activation::Identity, 1.7), 1.0);
+  EXPECT_DOUBLE_EQ(activate_grad_from_output(Activation::Identity, 1.7), 1.0);
   EXPECT_DOUBLE_EQ(activate(Activation::ReLU, -2.0), 0.0);
   EXPECT_DOUBLE_EQ(activate(Activation::ReLU, 2.0), 2.0);
   EXPECT_NEAR(activate(Activation::Tanh, 0.5), std::tanh(0.5), 1e-15);
   EXPECT_NEAR(activate(Activation::Sigmoid, 0.0), 0.5, 1e-15);
-  // Derivative consistency via finite differences.
+  // Derivative (from the activation's output) consistency via finite
+  // differences.
   for (const Activation act :
-       {Activation::Tanh, Activation::Sigmoid, Activation::Identity}) {
-    const double x = 0.37;
-    const double eps = 1e-6;
-    const double fd = (activate(act, x + eps) - activate(act, x - eps)) / (2 * eps);
-    EXPECT_NEAR(activate_grad(act, x), fd, 1e-8);
+       {Activation::Tanh, Activation::Sigmoid, Activation::Identity, Activation::ReLU}) {
+    for (const double x : {0.37, -0.61}) {
+      const double eps = 1e-6;
+      const double fd = (activate(act, x + eps) - activate(act, x - eps)) / (2 * eps);
+      EXPECT_NEAR(activate_grad_from_output(act, activate(act, x)), fd, 1e-8);
+    }
   }
 }
 
@@ -47,6 +52,36 @@ TEST(Mlp, BadInputSizeThrows) {
   Rng rng(1);
   const Mlp net({2, 4, 1}, Activation::Tanh, Activation::Identity, rng);
   EXPECT_THROW((void)net.forward(std::vector<double>{1.0}), std::invalid_argument);
+}
+
+TEST(Mlp, MinibatchPassEqualsOnePassPerRow) {
+  // Rows of one pass get exactly the bits of separate one-row passes, and
+  // parameter gradients accumulate as one backward() per row in row order.
+  Rng rng(3);
+  const Mlp net({5, 40, 33, 3}, Activation::Tanh, Activation::Sigmoid, rng);
+  constexpr std::size_t kRows = 7;
+  const std::vector<double> x = rng.uniform_vector(kRows * 5, -1.0, 1.0);
+  const std::vector<double> dLdy = rng.uniform_vector(kRows * 3, -1.0, 1.0);
+  Mlp::Workspace batch;
+  const std::span<const double> y_view = net.forward(x, batch);
+  const std::vector<double> y(y_view.begin(), y_view.end());
+  const std::span<const double> dx_view = net.input_gradient(batch, dLdy);
+  const std::vector<double> dx(dx_view.begin(), dx_view.end());
+  std::vector<double> grad(net.parameter_count(), 0.0);
+  net.backward(batch, dLdy, grad);
+
+  std::vector<double> grad_rows(net.parameter_count(), 0.0);
+  Mlp::Workspace one;
+  for (std::size_t n = 0; n < kRows; ++n) {
+    const std::span<const double> xn(x.data() + n * 5, 5);
+    const std::span<const double> dn(dLdy.data() + n * 3, 3);
+    const std::span<const double> yn = net.forward(xn, one);
+    for (std::size_t o = 0; o < 3; ++o) EXPECT_EQ(yn[o], y[n * 3 + o]) << "row " << n;
+    const std::span<const double> gn = net.input_gradient(one, dn);
+    for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(gn[i], dx[n * 5 + i]) << "row " << n;
+    net.backward(one, dn, grad_rows);
+  }
+  EXPECT_EQ(grad, grad_rows);
 }
 
 /// Property sweep: analytic gradients match finite differences across
@@ -76,7 +111,9 @@ TEST_P(MlpGradient, MatchesFiniteDifferences) {
   Mlp::Workspace ws;
   (void)net.forward(x, ws);
   std::vector<double> grad(net.parameter_count(), 0.0);
-  const std::vector<double> dx = net.backward(ws, dLdy, grad);
+  net.backward(ws, dLdy, grad);
+  const std::span<const double> dx_view = net.input_gradient(ws, dLdy);
+  const std::vector<double> dx(dx_view.begin(), dx_view.end());
 
   const auto loss_at = [&](void) {
     const auto y = net.forward(x);
@@ -111,10 +148,6 @@ TEST_P(MlpGradient, MatchesFiniteDifferences) {
     for (std::size_t o = 0; o < yu.size(); ++o) fd += dLdy[o] * (yu[o] - yd[o]) / (2 * eps);
     EXPECT_NEAR(dx[i], fd, 1e-5) << "input " << i;
   }
-
-  // input_gradient (no parameter accumulation) agrees with backward's dx.
-  const std::vector<double> dx2 = net.input_gradient(ws, dLdy);
-  for (std::size_t i = 0; i < dx.size(); ++i) EXPECT_NEAR(dx[i], dx2[i], 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, MlpGradient, ::testing::Range(0, 10));
@@ -198,7 +231,7 @@ TEST(Serialization, AdamSaveLoadRoundTripsMoments) {
     std::vector<double> grad(net.parameter_count(), 0.0);
     const auto y = net.forward(std::vector<double>{0.3, -0.9}, ws);
     const std::vector<double> dLdy = {y[0] - 1.0};
-    (void)net.backward(ws, dLdy, grad);
+    net.backward(ws, dLdy, grad);
     adam.step(net.parameters(), grad);
   }
   std::ostringstream saved;
@@ -250,7 +283,7 @@ TEST(Training, LearnsOneDimensionalRegression) {
       const double target = std::sin(3.0 * x);
       const auto y = net.forward(std::vector<double>{x}, ws);
       const std::vector<double> dLdy = {mse_grad_scalar(y[0], target) / kGrid};
-      (void)net.backward(ws, dLdy, grad);
+      net.backward(ws, dLdy, grad);
     }
     adam.step(net.parameters(), grad);
   }
@@ -260,6 +293,76 @@ TEST(Training, LearnsOneDimensionalRegression) {
     worst = std::max(worst, std::abs(y - std::sin(3.0 * x)));
   }
   EXPECT_LT(worst, 0.15);
+}
+
+/// FNV-1a over the bit patterns of `v`, chained through `h`.
+std::uint64_t fnv1a(std::uint64_t h, std::span<const double> v) {
+  for (const double d : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    for (int b = 0; b < 8; ++b) h = (h ^ ((bits >> (8 * b)) & 0xFF)) * 0x100000001B3ull;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
+
+TEST(Training, SeededKernelsAreBitIdentical) {
+  // Pins the exact bits of forward, backward, input_gradient and Adam for
+  // every activation: a kernel rewrite must keep each sum in its order.
+  static const GradCase cases[] = {
+      {{14, 64, 64, 64, 14}, Activation::Tanh, Activation::Sigmoid},
+      {{14, 64, 64, 64, 1}, Activation::Tanh, Activation::Identity},
+      {{5, 7, 3}, Activation::ReLU, Activation::Identity},
+      {{3, 9, 2}, Activation::Sigmoid, Activation::Tanh},
+  };
+  std::uint64_t h = kFnvOffset;
+  for (std::size_t k = 0; k < std::size(cases); ++k) {
+    const GradCase& c = cases[k];
+    Rng rng(31 + k);
+    Mlp net(c.sizes, c.hidden, c.output, rng);
+    Adam adam(net.parameter_count());
+    Mlp::Workspace ws;
+    for (int step = 0; step < 6; ++step) {
+      std::vector<double> grad(net.parameter_count(), 0.0);
+      for (int n = 0; n < 4; ++n) {
+        const std::vector<double> x = rng.uniform_vector(c.sizes.front(), -1.5, 1.5);
+        const std::vector<double> dLdy = rng.uniform_vector(c.sizes.back(), -1.0, 1.0);
+        h = fnv1a(h, net.forward(x, ws));
+        h = fnv1a(h, net.input_gradient(ws, dLdy));
+        net.backward(ws, dLdy, grad);
+      }
+      h = fnv1a(h, grad);
+      adam.step(net.parameters(), grad);
+    }
+    h = fnv1a(h, net.parameters());
+    std::ostringstream state;
+    adam.save(state);
+    const std::string text = state.str();
+    for (const char ch : text) h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001B3ull;
+  }
+  EXPECT_EQ(h, 0xf41778bc0bdd3129ull) << std::hex << "digest 0x" << h;
+}
+
+TEST(Training, SeededSurrogateIsBitIdentical) {
+  // The engine's online surrogate: one Adam step per observation.
+  core::SurrogateModel model;
+  Rng rng(57);
+  std::uint64_t h = kFnvOffset;
+  for (int i = 0; i < 40; ++i) {
+    const std::vector<double> input = rng.uniform_vector(9, -1.0, 1.0);
+    std::vector<double> metrics(3);
+    for (std::size_t j = 0; j < metrics.size(); ++j) {
+      metrics[j] = std::sin(input[j] * 2.0 + static_cast<double>(j)) + 0.1 * input[j + 3];
+    }
+    model.observe(input, metrics);
+    h = fnv1a(h, model.predict(input));
+  }
+  std::ostringstream state;
+  model.save(state);
+  const std::string text = state.str();
+  for (const char ch : text) h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001B3ull;
+  EXPECT_EQ(h, 0x1567b68035aa0fc5ull) << std::hex << "digest 0x" << h;
 }
 
 }  // namespace
