@@ -95,27 +95,31 @@ CellStats run_cell(Method method, circuits::Testcase testcase, core::VerifMethod
     }
   }
 
+  std::size_t successes = 0;
+  for (const core::CampaignEntry& entry : table.entries) {
+    if (entry.state == core::SessionState::Finished && entry.result.success) ++successes;
+  }
+  // Paper footnote: cells with < 100 % success average successful runs.  A
+  // cell with no success averages every run instead, so it reports what the
+  // failed runs cost rather than zeros.
   CellStats stats;
   stats.runs = options.seeds;
-  std::size_t successes = 0;
-  double sum_it = 0.0;
-  double sum_sims = 0.0;
-  double sum_runtime = 0.0;
-  double sum_wall = 0.0;
+  std::size_t averaged = 0;
   for (const core::CampaignEntry& entry : table.entries) {
-    if (entry.state != core::SessionState::Finished || !entry.result.success) continue;
-    ++successes;
-    // Paper footnote: cells with < 100 % success average successful runs.
-    sum_it += static_cast<double>(entry.result.rl_iterations);
-    sum_sims += static_cast<double>(entry.result.n_simulations);
-    sum_runtime += entry.result.modeled_runtime;
-    sum_wall += entry.result.wall_seconds;
+    if (entry.state != core::SessionState::Finished) continue;
+    if (successes > 0 && !entry.result.success) continue;
+    ++averaged;
+    stats.mean_iterations += static_cast<double>(entry.result.rl_iterations);
+    stats.mean_simulations += static_cast<double>(entry.result.n_simulations);
+    stats.mean_modeled_runtime += entry.result.modeled_runtime;
+    stats.mean_wall_seconds += entry.result.wall_seconds;
   }
-  if (successes > 0) {
-    stats.mean_iterations = sum_it / static_cast<double>(successes);
-    stats.mean_simulations = sum_sims / static_cast<double>(successes);
-    stats.mean_modeled_runtime = sum_runtime / static_cast<double>(successes);
-    stats.mean_wall_seconds = sum_wall / static_cast<double>(successes);
+  if (averaged > 0) {
+    const double n = static_cast<double>(averaged);
+    stats.mean_iterations /= n;
+    stats.mean_simulations /= n;
+    stats.mean_modeled_runtime /= n;
+    stats.mean_wall_seconds /= n;
   }
   stats.success_rate = static_cast<double>(successes) / static_cast<double>(options.seeds);
   return stats;

@@ -32,8 +32,10 @@ using Method = core::Algorithm;
 
 /// Aggregated multi-seed statistics for one (method, circuit, verif) cell.
 struct CellStats {
-  double mean_iterations = 0.0;   ///< over successful runs (paper's footnote)
-  double mean_simulations = 0.0;  ///< over successful runs
+  /// Means over successful runs (paper's footnote), or over every run when
+  /// none succeeded.
+  double mean_iterations = 0.0;
+  double mean_simulations = 0.0;
   double mean_modeled_runtime = 0.0;
   double mean_wall_seconds = 0.0;
   double success_rate = 0.0;      ///< over all runs

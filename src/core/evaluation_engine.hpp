@@ -38,8 +38,6 @@
 
 namespace glova::core {
 
-class SurrogateModel;
-
 struct SimulationCost {
   /// Modeled cost of one SPICE simulation in arbitrary time units; the
   /// per-iteration optimizer overhead is a fraction of this.  Only ratios
@@ -122,25 +120,12 @@ struct EngineConfig {
   /// Must not contain whitespace (the RunSpec grammar is space-separated).
   /// Empty (default) = no persistence.
   std::string cache_path;
-  /// Surrogate pre-ranking (speculative evaluation): train a small MLP on
-  /// every executed observation and, once warmed up, confirm only the
-  /// predicted-extreme `surrogate_keep` fraction of each candidate batch by
-  /// real simulation — the benign middle is answered from the model (counted
-  /// as surrogate_prunes, never cached, never counted executed).  Strictly
-  /// opt-in: off (default), every result is bit-identical to previous
-  /// releases.  See docs/architecture.md#speculative-evaluation.
-  bool surrogate = false;
-  /// Fraction of each pre-ranked batch SPICE confirms; in (0, 1].
-  double surrogate_keep = 0.5;
-  /// Executed observations the surrogate trains on before it may prune.
-  std::size_t surrogate_warmup = 64;
 
   friend bool operator==(const EngineConfig&, const EngineConfig&) = default;
 };
 
-/// Counter snapshot.  requested == cache_hits + executed + surrogate_prunes
-/// at any quiescent point (the last term is zero unless the opt-in surrogate
-/// mode is on); requested is what simulation_count() reports.  The dc_warm_*
+/// Counter snapshot.  requested == cache_hits + executed at any quiescent
+/// point; requested is what simulation_count() reports.  The dc_warm_*
 /// counters report SPICE warm-start activity (summed over every worker
 /// thread's cache) of this engine's own testbench calls since it was
 /// constructed or reset_count() was last called, so the whole evaluation
@@ -175,11 +160,8 @@ struct EngineStats {
   /// (behavioral) fallback after exhausting their retries.
   std::uint64_t retries = 0;
   std::uint64_t degraded_evals = 0;
-  /// Speculative-evaluation funnel (all zero unless EngineConfig::surrogate):
-  /// batch candidates answered from the surrogate instead of simulation,
-  /// surrogate-ranked survivors confirmed by real simulation, and training
-  /// steps the model has taken over its lifetime (the model — and this count —
-  /// persists with the memo-cache file across sessions).
+  /// Always zero, kept only because the frozen benchmark program reads these
+  /// three; delete them at the next benchmark change.
   std::uint64_t surrogate_prunes = 0;
   std::uint64_t surrogate_confirms = 0;
   std::uint64_t surrogate_train_steps = 0;
@@ -239,10 +221,9 @@ class EvaluationEngine {
   /// The (testcase, backend, numerics-config) tag this engine stamps on (and
   /// requires of) its persistent cache file; see core/persistent_cache.hpp.
   [[nodiscard]] std::string persistent_cache_tag() const;
-  /// Merge the live LRU (and, in surrogate mode, the trained model) into the
-  /// EngineConfig::cache_path file through the atomic-rename path.  No-op
-  /// when no cache_path is configured.  Also runs in the destructor (where a
-  /// failure is logged, not thrown).
+  /// Merge the live LRU into the EngineConfig::cache_path file through the
+  /// atomic-rename path.  No-op when no cache_path is configured.  Also runs
+  /// in the destructor (where a failure is logged, not thrown).
   void flush_persistent_cache();
 
   /// Text-serialize the engine's counters and memoization cache (LRU order
@@ -251,9 +232,7 @@ class EvaluationEngine {
   /// so stats() of a restored engine in a fresh process continues from the
   /// saved totals.  Configuration is NOT serialized — `load_state` expects an
   /// engine constructed with the same EngineConfig and testbench.  The frame
-  /// is `engine-state 4` whether or not the surrogate is on (its counters
-  /// read 0 and no model is stored when it is off); load_state rejects every
-  /// other version.
+  /// is `engine-state 5`; load_state rejects every other version.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 
@@ -284,35 +263,8 @@ class EvaluationEngine {
   [[nodiscard]] std::vector<double> evaluate_guarded(std::span<const double> x_phys,
                                                      const pdk::PvtCorner& corner,
                                                      std::span<const double> h);
-  /// Load EngineConfig::cache_path into the LRU (and the persisted surrogate
-  /// model, when surrogate mode is on) at construction.
+  /// Load EngineConfig::cache_path into the LRU at construction.
   void load_persistent_cache();
-  /// Surrogate feature vector: corner features + x + h zero-padded to the
-  /// full mismatch dimension (fixed lazily from the testbench layout).
-  /// Returns empty when the sample cannot fit the model's geometry.  Caller
-  /// holds surrogate_mutex_.
-  [[nodiscard]] std::vector<double> surrogate_input(std::span<const double> x_phys,
-                                                    const pdk::PvtCorner& corner,
-                                                    std::span<const double> h);
-  /// Train the model on one executed observation (no-op unless surrogate
-  /// mode is on; builds the model lazily).  Caller holds surrogate_mutex_.
-  void observe_surrogate(std::span<const double> x_phys, const pdk::PvtCorner& corner,
-                         std::span<const double> h, const std::vector<double>& metrics);
-  /// Train on every executed index of a finished batch, in index order (so
-  /// training order — and therefore the model — is deterministic).
-  void train_surrogate(std::span<const double> x_phys, const pdk::PvtCorner& corner,
-                       const std::vector<std::vector<double>>& hs,
-                       const std::vector<std::size_t>& executed_indices,
-                       const std::vector<std::vector<double>>& results);
-  /// Speculative pre-ranking: answer the predicted-benign middle of the miss
-  /// set from the model and shrink miss_indices/miss_keys to the
-  /// predicted-extreme survivors SPICE confirms.  Predictions are never
-  /// inserted into the memo cache.
-  void prune_with_surrogate(std::span<const double> x_phys, const pdk::PvtCorner& corner,
-                            const std::vector<std::vector<double>>& hs,
-                            std::vector<std::size_t>& miss_indices,
-                            std::vector<CacheKey>& miss_keys,
-                            std::vector<std::vector<double>>& results);
 
   circuits::TestbenchPtr testbench_;
   EngineConfig config_;
@@ -325,8 +277,6 @@ class EvaluationEngine {
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> degraded_evals_{0};
-  std::atomic<std::uint64_t> surrogate_prunes_{0};
-  std::atomic<std::uint64_t> surrogate_confirms_{0};
   /// SPICE and warm-start counters of this engine's testbench calls (the
   /// dc_warm_* and simulator fields of EngineStats).
   spice::CounterSink sink_;
@@ -337,16 +287,6 @@ class EvaluationEngine {
   /// LRU: most recent at the front.  The map points into the list.
   std::list<std::pair<CacheKey, std::vector<double>>> lru_;
   std::unordered_map<CacheKey, decltype(lru_)::iterator, CacheKeyHash> index_;
-
-  /// Surrogate state (model, normalization, padded mismatch dimension), all
-  /// guarded by surrogate_mutex_.  Training happens after a batch completes,
-  /// on the submitting thread in index order, so the model evolves
-  /// deterministically for the step-driven single-submitter usage every
-  /// optimizer follows.
-  mutable std::mutex surrogate_mutex_;
-  std::unique_ptr<SurrogateModel> surrogate_;
-  std::size_t surrogate_h_dim_ = 0;
-  bool surrogate_h_dim_set_ = false;
 
   /// submit()-queued work still in flight; drained by the destructor.
   std::mutex pending_mutex_;

@@ -109,12 +109,6 @@ void save_memo_cache(std::ostream& os, const MemoCacheFile& file) {
     os << '\n';
     state::write_doubles(os, "val", e.metrics);
   }
-  std::string surrogate = file.surrogate_state;
-  if (!surrogate.empty() && surrogate.back() != '\n') surrogate += '\n';
-  std::size_t lines = 0;
-  for (const char c : surrogate) lines += c == '\n' ? 1 : 0;
-  os << "surrogate-lines " << lines << '\n';
-  os << surrogate;
   os << "end\n";
   if (!os) bad_cache("write failed");
 }
@@ -169,15 +163,6 @@ MemoCacheFile load_memo_cache(std::istream& is, const std::string& expected_tag)
     }
     file.entries.push_back(std::move(entry));
   }
-  const std::uint64_t lines =
-      parse_count(expect_cache_line(is, "surrogate-lines"), "surrogate line count");
-  if (lines > state::kMaxCount) bad_cache("implausible surrogate line count");
-  for (std::uint64_t i = 0; i < lines; ++i) {
-    std::string line;
-    if (!std::getline(is, line)) bad_cache("truncated surrogate state");
-    file.surrogate_state += line;
-    file.surrogate_state += '\n';
-  }
   (void)expect_cache_line(is, "end");
   return file;
 }
@@ -211,7 +196,6 @@ std::size_t flush_memo_cache_file(const std::string& path, const MemoCacheFile& 
   const std::lock_guard<std::mutex> lock(file_mutex());
   MemoCacheFile merged;
   merged.tag = fresh.tag;
-  merged.surrogate_state = fresh.surrogate_state;
   std::unordered_set<std::vector<std::int64_t>, KeyHash> seen;
   seen.reserve(fresh.entries.size());
   for (const MemoCacheEntry& e : fresh.entries) {
@@ -223,7 +207,6 @@ std::size_t flush_memo_cache_file(const std::string& path, const MemoCacheFile& 
     for (const MemoCacheEntry& e : disk->entries) {
       if (seen.insert(e.key).second) merged.entries.push_back(e);
     }
-    if (merged.surrogate_state.empty()) merged.surrogate_state = disk->surrogate_state;
   }
   if (merged.entries.size() > kMaxMemoCacheEntries) {
     merged.entries.resize(kMaxMemoCacheEntries);

@@ -11,15 +11,14 @@
 // it, so the file accumulates observations across sessions, campaigns, and
 // glova-serve restarts.
 //
-//   glova-memo v1
+//   glova-memo v2
 //   tag <testbench|numerics-config>
 //   entries N
 //   key K k0 ... kK-1          (N times: quantized engine cache key)
 //   val M v0 ... vM-1          (metrics, doubles via max_digits10)
-//   surrogate-lines L          (serialized core::SurrogateModel; 0 = none)
-//   <L raw lines>
 //   end
 //
+// This build reads v2 only; a file of any other version is rejected by it.
 // Malformed input — wrong magic, unsupported version, a tag belonging to a
 // different configuration, truncation, garbage fields — fails loudly with an
 // actionable std::runtime_error; tests/test_persistent_cache.cpp pins both
@@ -49,14 +48,11 @@ struct MemoCacheEntry {
 struct MemoCacheFile {
   std::string tag;                      ///< memo_cache_tag() of the writer
   std::vector<MemoCacheEntry> entries;  ///< most recently used first
-  /// Serialized core::SurrogateModel state riding along with the
-  /// observations it was trained on; empty = no model persisted.
-  std::string surrogate_state;
 
   friend bool operator==(const MemoCacheFile&, const MemoCacheFile&) = default;
 };
 
-inline constexpr int kMemoCacheFormatVersion = 1;
+inline constexpr int kMemoCacheFormatVersion = 2;
 /// Bound on entries per file: flushes keep the most recent entries first and
 /// drop the tail beyond this, so a long-lived shared cache file cannot grow
 /// without limit (entries are a few hundred bytes each).

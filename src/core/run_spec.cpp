@@ -89,9 +89,6 @@ void validate_scalars(const RunSpec& spec) {
   if (spec.budget.max_wall_seconds < 0.0) {
     bad_spec("budget.max_wall_seconds must be non-negative");
   }
-  if (spec.engine.surrogate_keep <= 0.0 || spec.engine.surrogate_keep > 1.0) {
-    bad_spec("engine.surrogate_keep must be in (0, 1]");
-  }
   for (const char c : spec.engine.cache_path) {
     if (std::isspace(static_cast<unsigned char>(c))) {
       bad_spec("engine.cache_path must not contain whitespace");
@@ -132,8 +129,7 @@ const std::vector<std::string_view>& run_spec_keys() {
       "spice_noise",
       "max_eval_retries", "eval_deadline_steps",
       "degrade_to_behavioral", "cache_path",
-      "surrogate",       "surrogate_keep",
-      "surrogate_warmup", "progress_log",
+      "progress_log",
   };
   return keys;
 }
@@ -175,9 +171,6 @@ std::string RunSpec::to_string() const {
   kv("eval_deadline_steps", std::to_string(engine.eval_deadline_steps));
   kv("degrade_to_behavioral", engine.degrade_to_behavioral ? "1" : "0");
   kv("cache_path", engine.cache_path);  // empty value round-trips as "cache_path="
-  kv("surrogate", engine.surrogate ? "1" : "0");
-  kv("surrogate_keep", format_double(engine.surrogate_keep));
-  kv("surrogate_warmup", std::to_string(engine.surrogate_warmup));
   kv("progress_log", progress_log ? "1" : "0");
   return out;
 }
@@ -272,12 +265,6 @@ RunSpec RunSpec::from_string(std::string_view text) {
       spec.engine.degrade_to_behavioral = parse_bool(key, value);
     } else if (key == "cache_path") {
       spec.engine.cache_path = std::string(value);
-    } else if (key == "surrogate") {
-      spec.engine.surrogate = parse_bool(key, value);
-    } else if (key == "surrogate_keep") {
-      spec.engine.surrogate_keep = parse_double(key, value);
-    } else if (key == "surrogate_warmup") {
-      spec.engine.surrogate_warmup = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "progress_log") {
       spec.progress_log = parse_bool(key, value);
     } else {

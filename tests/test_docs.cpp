@@ -1,6 +1,6 @@
 // Documentation honesty checks (the docs/ tree is part of the contract):
 //   - every relative markdown link in README.md and docs/*.md resolves to a
-//     real file in the repo,
+//     real file in the repo, and its #anchor (if any) to a heading there,
 //   - docs/run_spec.md documents every RunSpec key (run_spec_keys() is the
 //     machine-readable index of the grammar) and no key the grammar lacks,
 //   - run_spec_keys() itself stays in lockstep with RunSpec::to_string(),
@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -57,6 +60,70 @@ std::vector<std::string> link_targets(const std::string& text) {
   return out;
 }
 
+/// A non-ASCII code point GitHub's slugger drops: Latin-1 punctuation and
+/// symbols, general punctuation (dashes, ellipsis), arrows and math operators.
+bool is_dropped_symbol(char32_t cp) {
+  return (cp >= 0xA0 && cp <= 0xBF) || cp == 0xD7 || cp == 0xF7 ||
+         (cp >= 0x2000 && cp <= 0x206F) || (cp >= 0x2190 && cp <= 0x22FF);
+}
+
+/// GitHub's anchor for a heading: lower-case, punctuation dropped, spaces
+/// become '-'.  Letters outside ASCII (μ, σ) are kept as written.
+std::string heading_slug(const std::string& heading) {
+  std::string slug;
+  for (std::size_t i = 0; i < heading.size();) {
+    const auto c = static_cast<unsigned char>(heading[i]);
+    if (c < 0x80) {
+      if (std::isalnum(c) || c == '-' || c == '_') {
+        slug += static_cast<char>(std::tolower(c));
+      } else if (c == ' ') {
+        slug += '-';
+      }
+      ++i;
+      continue;
+    }
+    const std::size_t len = c >= 0xF0 ? 4 : c >= 0xE0 ? 3 : 2;
+    char32_t cp = c & (len == 2 ? 0x1F : len == 3 ? 0x0F : 0x07);
+    for (std::size_t k = 1; k < len && i + k < heading.size(); ++k) {
+      cp = (cp << 6) | (static_cast<unsigned char>(heading[i + k]) & 0x3F);
+    }
+    if (!is_dropped_symbol(cp)) slug += heading.substr(i, len);
+    i += len;
+  }
+  return slug;
+}
+
+/// Every heading anchor of a markdown document (headings inside fenced code
+/// blocks are not headings; a repeated slug gets GitHub's -1, -2 suffix).
+std::set<std::string> heading_anchors(const std::string& text) {
+  std::set<std::string> out;
+  std::map<std::string, int> seen;
+  std::istringstream is(text);
+  std::string line;
+  bool fenced = false;
+  while (std::getline(is, line)) {
+    if (line.rfind("```", 0) == 0) fenced = !fenced;
+    if (fenced || line.empty() || line.front() != '#') continue;
+    const std::size_t hashes = line.find_first_not_of('#');
+    if (hashes == std::string::npos || hashes > 6 || line[hashes] != ' ') continue;
+    const std::string slug = heading_slug(line.substr(hashes + 1));
+    const int n = seen[slug]++;
+    out.insert(n == 0 ? slug : slug + "-" + std::to_string(n));
+  }
+  return out;
+}
+
+TEST(Docs, HeadingSlugsFollowGitHub) {
+  EXPECT_EQ(heading_slug("Checkpoint / resume"), "checkpoint--resume");
+  EXPECT_EQ(heading_slug("SPICE hot path: stamp plans and DC warm-starts"),
+            "spice-hot-path-stamp-plans-and-dc-warm-starts");
+  EXPECT_EQ(heading_slug("Control plane: RunSpec \u2192 Optimizer"),
+            "control-plane-runspec--optimizer");
+  EXPECT_EQ(heading_slug("`glova-serve` and μ-σ"), "glova-serve-and-μ-σ");
+  EXPECT_EQ(heading_anchors("# A\n```\n# not a heading\n```\n## A\n"),
+            (std::set<std::string>{"a", "a-1"}));
+}
+
 TEST(Docs, TreeExists) {
   EXPECT_TRUE(fs::exists(source_dir() / "docs" / "architecture.md"));
   EXPECT_TRUE(fs::exists(source_dir() / "docs" / "run_spec.md"));
@@ -67,17 +134,26 @@ TEST(Docs, InternalLinksResolve) {
   for (const fs::path& doc : doc_files()) {
     const std::string text = read_file(doc);
     for (const std::string& raw : link_targets(text)) {
-      if (raw.empty() || raw.front() == '#') continue;  // intra-doc anchor
+      if (raw.empty()) continue;
       if (raw.rfind("http://", 0) == 0 || raw.rfind("https://", 0) == 0 ||
           raw.rfind("mailto:", 0) == 0) {
         continue;  // external; not checked offline
       }
-      // Strip an anchor suffix: docs/foo.md#section -> docs/foo.md.
-      std::string target = raw.substr(0, raw.find('#'));
-      if (target.empty()) continue;
-      const fs::path resolved = doc.parent_path() / target;
-      EXPECT_TRUE(fs::exists(resolved))
-          << doc.filename() << " links to missing target '" << raw << "'";
+      // docs/foo.md#section -> file docs/foo.md, anchor "section"; a bare
+      // #section points into this document.
+      const std::size_t hash = raw.find('#');
+      const std::string target = raw.substr(0, hash);
+      const fs::path resolved = target.empty() ? doc : doc.parent_path() / target;
+      if (!fs::exists(resolved)) {
+        ADD_FAILURE() << doc.filename() << " links to missing target '" << raw << "'";
+        continue;
+      }
+      if (hash == std::string::npos) continue;
+      const std::string anchor = raw.substr(hash + 1);
+      EXPECT_TRUE(resolved.extension() == ".md" &&
+                  heading_anchors(read_file(resolved)).count(anchor) == 1)
+          << doc.filename() << " links to '" << raw << "', but no heading of "
+          << resolved.filename() << " has the anchor '" << anchor << "'";
     }
   }
 }

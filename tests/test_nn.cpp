@@ -10,7 +10,6 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "core/surrogate.hpp"
 #include "nn/adam.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
@@ -342,27 +341,6 @@ TEST(Training, SeededKernelsAreBitIdentical) {
     for (const char ch : text) h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001B3ull;
   }
   EXPECT_EQ(h, 0xf41778bc0bdd3129ull) << std::hex << "digest 0x" << h;
-}
-
-TEST(Training, SeededSurrogateIsBitIdentical) {
-  // The engine's online surrogate: one Adam step per observation.
-  core::SurrogateModel model;
-  Rng rng(57);
-  std::uint64_t h = kFnvOffset;
-  for (int i = 0; i < 40; ++i) {
-    const std::vector<double> input = rng.uniform_vector(9, -1.0, 1.0);
-    std::vector<double> metrics(3);
-    for (std::size_t j = 0; j < metrics.size(); ++j) {
-      metrics[j] = std::sin(input[j] * 2.0 + static_cast<double>(j)) + 0.1 * input[j + 3];
-    }
-    model.observe(input, metrics);
-    h = fnv1a(h, model.predict(input));
-  }
-  std::ostringstream state;
-  model.save(state);
-  const std::string text = state.str();
-  for (const char ch : text) h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001B3ull;
-  EXPECT_EQ(h, 0x1567b68035aa0fc5ull) << std::hex << "digest 0x" << h;
 }
 
 }  // namespace

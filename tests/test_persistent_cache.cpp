@@ -1,10 +1,10 @@
-// Tests for the persistent memo cache and surrogate-guided speculative
-// evaluation (docs/architecture.md#speculative-evaluation): the glova-memo
-// file format (save -> load -> save byte fixed point, actionable rejection of
-// truncated/garbage/version-mismatched/foreign-tag files), the engine's
-// preload/flush round trip, warm-cache campaign determinism (a second run
-// over a shared cache directory executes zero simulations and reproduces
-// results byte-identically), and the surrogate funnel counters.
+// Tests for the persistent memo cache (docs/architecture.md#persistent-memo-cache):
+// the glova-memo file format (save -> load -> save byte fixed point,
+// actionable rejection of truncated/garbage/version-mismatched/foreign-tag
+// files), the engine's preload/flush round trip, warm-cache campaign
+// determinism (a second run over a shared cache directory executes zero
+// simulations and reproduces results byte-identically), and the one
+// engine-state frame version.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -38,7 +38,6 @@ core::MemoCacheFile sample_file() {
   file.entries.push_back({{1, -2, 3}, {0.5, -1.25}});
   file.entries.push_back({{4, 5}, {3.0}});
   file.entries.push_back({{}, {1e-300, 2e17}});
-  file.surrogate_state = "opaque line one\nopaque line two\n";
   return file;
 }
 
@@ -46,6 +45,16 @@ TEST(MemoCacheFormat, SaveLoadSaveIsAByteFixedPoint) {
   const core::MemoCacheFile original = sample_file();
   std::ostringstream first;
   core::save_memo_cache(first, original);
+  EXPECT_EQ(first.str(), "glova-memo v2\n"
+                         "tag " + original.tag + "\n"
+                         "entries 3\n"
+                         "key 3 1 -2 3\n"
+                         "val 2 0.5 -1.25\n"
+                         "key 2 4 5\n"
+                         "val 1 3\n"
+                         "key 0\n"
+                         "val 2 1e-300 2e+17\n"
+                         "end\n");
 
   std::istringstream in(first.str());
   const core::MemoCacheFile loaded = core::load_memo_cache(in, original.tag);
@@ -79,14 +88,19 @@ TEST(MemoCacheFormat, EmptyAndGarbageInputsAreRejectedWithContext) {
 }
 
 TEST(MemoCacheFormat, UnsupportedVersionIsRejected) {
-  std::istringstream in("glova-memo v999\ntag t\nentries 0\nsurrogate-lines 0\nend\n");
-  try {
-    (void)core::load_memo_cache(in);
-    FAIL() << "future version must be rejected";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("unsupported format version 'v999'"), std::string::npos) << what;
-    EXPECT_NE(what.find("this build reads v1"), std::string::npos) << what;
+  // v1 (the earlier layout, which also stored a serialized model) and a
+  // future version both fail by version, naming the one this build reads.
+  for (const std::string version : {"v1", "v999"}) {
+    std::istringstream in("glova-memo " + version + "\ntag t\nentries 0\nend\n");
+    try {
+      (void)core::load_memo_cache(in);
+      ADD_FAILURE() << "glova-memo " << version << " loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unsupported format version '" + version + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("this build reads v2"), std::string::npos) << what;
+    }
   }
 }
 
@@ -283,76 +297,6 @@ TEST(PersistentCache, WarmCampaignRerunExecutesZeroAndIsBitIdentical) {
   EXPECT_EQ(canonical(a), canonical(b));
 }
 
-/// Cheap 3-mismatch testbench for surrogate funnel tests.
-class PlaneBench final : public circuits::Testbench {
- public:
-  PlaneBench() {
-    sizing_.names = {"x0"};
-    sizing_.lower = {0.0};
-    sizing_.upper = {1.0};
-    performance_.metrics = {
-        circuits::MetricSpec{"m", "u", 1.0, 1.0, circuits::Sense::MinimizeBelow}};
-  }
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] const circuits::SizingSpec& sizing() const override { return sizing_; }
-  [[nodiscard]] const circuits::PerformanceSpec& performance() const override {
-    return performance_;
-  }
-  [[nodiscard]] pdk::MismatchLayout mismatch_layout(std::span<const double>,
-                                                    bool) const override {
-    pdk::MismatchLayout layout;
-    layout.names = {"h0", "h1", "h2"};
-    layout.local_sigma = {1.0, 1.0, 1.0};
-    layout.global_sigma = {0.0, 0.0, 0.0};
-    return layout;
-  }
-  [[nodiscard]] std::vector<double> evaluate(std::span<const double> x, const pdk::PvtCorner&,
-                                             std::span<const double> h) const override {
-    double sum = x.empty() ? 0.0 : x[0];
-    for (std::size_t j = 0; j < h.size(); ++j) sum += (static_cast<double>(j) + 1.0) * h[j];
-    return {sum};
-  }
-
- private:
-  std::string name_ = "plane-bench";
-  circuits::SizingSpec sizing_;
-  circuits::PerformanceSpec performance_;
-};
-
-std::vector<std::vector<double>> random_draws(Rng& rng, int count) {
-  std::vector<std::vector<double>> hs;
-  for (int i = 0; i < count; ++i) {
-    hs.push_back({rng.normal(), rng.normal(), rng.normal()});
-  }
-  return hs;
-}
-
-TEST(Surrogate, FunnelCountersObeyTheExtendedInvariant) {
-  core::EngineConfig cfg;
-  cfg.surrogate = true;
-  cfg.surrogate_warmup = 8;
-  cfg.surrogate_keep = 0.5;
-  cfg.parallelism = 1;
-  core::EvaluationEngine engine(std::make_shared<PlaneBench>(), cfg);
-  const std::vector<double> x = {0.5};
-  Rng rng(17);
-
-  // Warmup batch trains the model; the second batch gets pre-ranked and the
-  // unremarkable half answered speculatively.
-  (void)engine.evaluate_batch(x, pdk::typical_corner(), random_draws(rng, 16));
-  core::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.surrogate_prunes, 0u);  // not ready during warmup
-  EXPECT_EQ(stats.executed, 16u);
-  EXPECT_GT(stats.surrogate_train_steps, 0u);
-
-  (void)engine.evaluate_batch(x, pdk::typical_corner(), random_draws(rng, 16));
-  stats = engine.stats();
-  EXPECT_EQ(stats.surrogate_prunes, 8u);  // keep=0.5 of 16 misses
-  EXPECT_EQ(stats.surrogate_confirms, 8u);
-  EXPECT_EQ(stats.requested, stats.cache_hits + stats.executed + stats.surrogate_prunes);
-  EXPECT_EQ(stats.executed, 24u);
-}
-
 /// save_state() of `engine`, loaded into `fresh` and saved again: the two
 /// texts must match byte for byte.
 std::string expect_state_round_trip(const core::EvaluationEngine& engine,
@@ -367,65 +311,30 @@ std::string expect_state_round_trip(const core::EvaluationEngine& engine,
   return saved.str();
 }
 
-TEST(Surrogate, OnAndOffEnginesWriteTheOneStateFrame) {
+TEST(EngineState, EnginesWriteTheOneStateFrameAndRejectEarlierVersions) {
   const auto tb = circuits::make_testbench(circuits::Testcase::Sal);
-  core::EvaluationEngine off(tb);
-  (void)off.evaluate_one(midpoint_design(*tb), pdk::typical_corner(), {});
-  core::EvaluationEngine off_reload(tb);
-  const std::string state_off = expect_state_round_trip(off, off_reload);
-  EXPECT_EQ(state_off.rfind("engine-state 4\n", 0), 0u);
-  EXPECT_NE(state_off.find("\nsurrogate-counters 0 0\nsurrogate-model 0\n"), std::string::npos)
-      << state_off;
+  core::EvaluationEngine engine(tb);
+  (void)engine.evaluate_one(midpoint_design(*tb), pdk::typical_corner(), {});
+  core::EvaluationEngine reload(tb);
+  const std::string state = expect_state_round_trip(engine, reload);
+  EXPECT_EQ(state.rfind("engine-state 5\ncounters ", 0), 0u) << state;
 
-  core::EngineConfig cfg;
-  cfg.surrogate = true;
-  cfg.surrogate_warmup = 8;
-  cfg.parallelism = 1;
-  core::EvaluationEngine on(std::make_shared<PlaneBench>(), cfg);
-  const std::vector<double> x = {0.5};
-  Rng rng(31);
-  (void)on.evaluate_batch(x, pdk::typical_corner(), random_draws(rng, 12));
-  ASSERT_GT(on.stats().surrogate_train_steps, 0u);
-  core::EvaluationEngine on_reload(std::make_shared<PlaneBench>(), cfg);
-  const std::string state_on = expect_state_round_trip(on, on_reload);
-  EXPECT_EQ(state_on.rfind("engine-state 4\n", 0), 0u);
-  EXPECT_NE(state_on.find("\nsurrogate-model 1\n"), std::string::npos);
-
-  // Frames of earlier builds are rejected by version, naming the one read.
-  for (const char* old_version : {"1", "2", "3"}) {
+  // Frames of earlier builds (version 4 also carried surrogate lines) are
+  // rejected by version, naming the one read.
+  for (const char* old_version : {"1", "2", "3", "4"}) {
     std::istringstream in(std::string("engine-state ") + old_version +
-                          state_off.substr(state_off.find('\n')));
+                          state.substr(state.find('\n')));
     core::EvaluationEngine target(tb);
     try {
       target.load_state(in);
       ADD_FAILURE() << "engine-state " << old_version << " loaded";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("unsupported engine-state version " +
-                                           std::string(old_version) + " (this build reads 4)"),
+                                           std::string(old_version) + " (this build reads 5)"),
                 std::string::npos)
           << e.what();
     }
   }
-}
-
-TEST(Surrogate, ModelStateRidesInTheMemoCacheFile) {
-  const std::string dir = fresh_dir("glova_memo_surrogate");
-  core::EngineConfig cfg;
-  cfg.cache_path = dir + "/plane.memo";
-  cfg.surrogate = true;
-  cfg.surrogate_warmup = 8;
-  cfg.parallelism = 1;
-  Rng rng(29);
-  const std::vector<double> x = {0.5};
-  {
-    core::EvaluationEngine engine(std::make_shared<PlaneBench>(), cfg);
-    (void)engine.evaluate_batch(x, pdk::typical_corner(), random_draws(rng, 12));
-    EXPECT_GT(engine.stats().surrogate_train_steps, 0u);
-  }
-  core::EvaluationEngine warm(std::make_shared<PlaneBench>(), cfg);
-  EXPECT_GT(warm.stats().surrogate_train_steps, 0u)
-      << "the trained model must be restored from the cache file";
-  EXPECT_EQ(warm.cache_size(), 12u);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "core/surrogate.hpp"
 #include "rl/agent.hpp"
 #include "rl/ensemble_critic.hpp"
 #include "rl/replay_buffer.hpp"
@@ -350,16 +349,6 @@ TEST(Allocation, WarmTrainingStepsAllocateNothing) {
   (void)agent.update(buffer);
   EXPECT_EQ(allocations_in([&] {
               for (int u = 0; u < 3; ++u) (void)agent.update(buffer);
-            }),
-            0u);
-
-  // The engine's online surrogate: one Adam step per observation.
-  core::SurrogateModel surrogate;
-  const std::vector<double> input = data.uniform_vector(9, -1.0, 1.0);
-  const std::vector<double> metrics = data.uniform_vector(3, -1.0, 1.0);
-  surrogate.observe(input, metrics);
-  EXPECT_EQ(allocations_in([&] {
-              for (int k = 0; k < 3; ++k) surrogate.observe(input, metrics);
             }),
             0u);
 }

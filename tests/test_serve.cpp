@@ -561,8 +561,9 @@ TEST(Server, SpoolJobFromAnEarlierBuildFailsWithTheUnknownKey) {
 
   // Job records as earlier builds spooled them: each spec still carries the
   // key of one removed knob (the Newton LU-bypass, the lockstep batched
-  // draw evaluator).
-  const std::vector<std::string> removed_keys = {"newton_bypass", "batched_draws"};
+  // draw evaluator, surrogate speculative evaluation).
+  const std::vector<std::string> removed_keys = {
+      "newton_bypass", "batched_draws", "surrogate", "surrogate_keep", "surrogate_warmup"};
   const std::string anchor = "adaptive_timestep=0 ";
   const auto job_id = [](std::size_t n) { return "job-00000" + std::to_string(n); };
   for (std::size_t k = 0; k < removed_keys.size(); ++k) {

@@ -31,6 +31,18 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow forms (std::stable_sort's buffer, for one) must come from malloc
+// too, or a sanitizer sees the free() below release another allocator's
+// memory.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_alloc_counting.load(std::memory_order_relaxed)) {
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
