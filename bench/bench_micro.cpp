@@ -53,9 +53,8 @@ BENCHMARK(BM_MismatchSample)->Arg(3)->Arg(100)->Arg(1000);
 
 static void BM_SpiceSalTransient(benchmark::State& state) {
   // The SPICE run path under every SAL evaluation: netlist build, DC op,
-  // transient, measurement extraction.  Warm start disabled so the number
-  // is a clean cold-evaluation cost.  Arg 0 = fixed 3000-step grid, arg 1 =
-  // LTE-adaptive timestep controller.
+  // transient, measurement extraction.  Arg 0 = fixed 3000-step grid, arg 1
+  // = LTE-adaptive timestep controller.
   spice::EvalContext numerics;
   numerics.options.adaptive_timestep = state.range(0) != 0;
   const spice::ScopedEvalContext scope(numerics);
@@ -101,20 +100,18 @@ static void BM_SpiceAssemblyOnly(benchmark::State& state) {
 BENCHMARK(BM_SpiceAssemblyOnly);
 
 static void BM_SpiceNewtonOp(benchmark::State& state) {
-  // A full DC Newton solve (assembly + fused LU each iteration) on the SAL
-  // netlist with a warm workspace: cold solves at arg 0, warm-started at 1.
+  // A full cold DC Newton solve (assembly + fused LU each iteration) on the
+  // SAL netlist with a warm workspace.  Arg 0 keeps the recorded row name.
   circuits::StrongArmLatchSpice sal;
   const auto x = sal.sizing().denormalize(
       std::vector<double>{0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2, 0, 0, 0, 0, 0, 0.05, 0.01});
   const spice::Circuit ckt = sal.build_netlist(x, pdk::typical_corner(), {});
   spice::Simulator sim(ckt);
-  const spice::OpResult seed = sim.operating_point();
-  const spice::OpResult* warm = state.range(0) != 0 ? &seed : nullptr;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.operating_point(warm));
+    benchmark::DoNotOptimize(sim.operating_point());
   }
 }
-BENCHMARK(BM_SpiceNewtonOp)->Arg(0)->Arg(1);
+BENCHMARK(BM_SpiceNewtonOp)->Arg(0);
 
 static void BM_LuSolve(benchmark::State& state) {
   const std::size_t n = state.range(0);

@@ -38,7 +38,6 @@
 #include "common/units.hpp"
 #include "pdk/mos_params.hpp"
 #include "spice/measure.hpp"
-#include "spice/warm_start.hpp"
 
 namespace glova::circuits {
 
@@ -60,9 +59,6 @@ constexpr double kAccessW = 0.28e-6;
 constexpr double kAccessL = 50e-9;
 constexpr double kWriteW = 1e-6;
 constexpr double kWriteL = 30e-9;
-// Warm-start cache tags, one per data polarity (the stored level changes
-// the DC operating point, so the polarities must not share seeds).
-constexpr std::uint64_t kDramWarmStartTag[2] = {0xd0c5a, 0xd1c5a};
 }  // namespace
 
 DramOcsaSubholeSpice::DramOcsaSubholeSpice() = default;
@@ -265,10 +261,7 @@ std::vector<double> DramOcsaSubholeSpice::evaluate(std::span<const double> x,
     const spice::Circuit ckt = build_netlist(x, corner, h, data_one);
     spice::Simulator sim(ckt, spice::current_context().options);
     const spice::TransientSpec spec = dram_transient_spec();
-
-    const spice::WarmSeed seed(kDramWarmStartTag[data_one ? 1 : 0], x, corner);
-    const spice::TransientResult res = sim.transient(spec, seed.get());
-    seed.settle(res);
+    const spice::TransientResult res = sim.transient(spec);
     if (!res.ok) {
       // A non-convergent design fails every constraint: vanishing sensing
       // margins and an enormous energy; the structured report lets the

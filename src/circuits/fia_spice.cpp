@@ -28,7 +28,6 @@
 #include "common/units.hpp"
 #include "spice/ac.hpp"
 #include "spice/measure.hpp"
-#include "spice/warm_start.hpp"
 
 namespace glova::circuits {
 
@@ -42,8 +41,6 @@ constexpr double kBoost = 0.45;
 constexpr double kSwitchW = 4e-6;
 constexpr double kClampW = 1e-6;
 constexpr double kSwitchL = 30e-9;
-// Warm-start cache tag (must not collide with the other testbenches).
-constexpr std::uint64_t kFiaWarmStartTag = 0xF1A;
 
 /// Effective single-ended output load: the sized cap plus the inverter
 /// junction capacitance (exactly the behavioral c_load).  One derivation
@@ -148,7 +145,7 @@ namespace {
 /// FIA transient spec: amplify well past the nominal integration window so
 /// the reservoir droop has fully developed when energy is measured.  The
 /// timebase comes from the nominal-mismatch analysis, so every draw of one
-/// design shares it (which also keeps the DC warm-start cache coherent).
+/// design shares it.
 spice::TransientSpec fia_transient_spec(double nominal_t_int) {
   spice::TransientSpec spec;
   const double window = std::clamp(4.0 * nominal_t_int, 0.4e-9, 40e-9);
@@ -167,10 +164,7 @@ std::vector<double> FloatingInverterAmplifierSpice::evaluate(std::span<const dou
   const spice::Circuit ckt = build_netlist(x, corner, h);
   spice::Simulator sim(ckt, spice::current_context().options);
   const spice::TransientSpec spec = fia_transient_spec(nominal.t_int);
-
-  const spice::WarmSeed seed(kFiaWarmStartTag, x, corner);
-  const spice::TransientResult res = sim.transient(spec, seed.get());
-  seed.settle(res);
+  const spice::TransientResult res = sim.transient(spec);
   if (!res.ok) {
     // A non-convergent design fails every constraint so the optimizer
     // steers away (both metrics are MinimizeBelow); the structured report

@@ -7,7 +7,6 @@
 #include "common/units.hpp"
 #include "spice/ac.hpp"
 #include "spice/measure.hpp"
-#include "spice/warm_start.hpp"
 
 namespace glova::circuits {
 
@@ -28,9 +27,6 @@ constexpr double kClkFall = 3.2e-9;
 constexpr double kTStop = 6.0e-9;
 constexpr double kDt = 2.0e-12;
 constexpr double kEdge = 20e-12;
-// Warm-start cache tag for the SAL topology (keys must not collide across
-// testbenches whose design vectors happen to share a shape).
-constexpr std::uint64_t kSalWarmStartTag = 0x5a1;
 }  // namespace
 
 StrongArmLatchSpice::StrongArmLatchSpice() = default;
@@ -124,12 +120,7 @@ std::vector<double> StrongArmLatchSpice::evaluate(std::span<const double> x,
   spec.t_stop = kTStop;
   spec.dt = kDt;
   spec.record = {"out_a", "out_b"};
-  // DC warm start (when the context enables it): mismatch draws of one
-  // (design, corner) share the first draw's converged operating point as
-  // the Newton seed (see spice/warm_start.hpp for what that changes).
-  const spice::WarmSeed seed(kSalWarmStartTag, x, corner);
-  const spice::TransientResult res = sim.transient(spec, seed.get());
-  seed.settle(res);
+  const spice::TransientResult res = sim.transient(spec);
   if (!res.ok) {
     // A non-convergent design is a broken design: the penalty metrics fail
     // every constraint so the optimizer steers away, and the structured

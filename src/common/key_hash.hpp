@@ -1,6 +1,6 @@
 // Shared helpers for flat integer cache keys: the evaluation-engine memo
-// cache and the SPICE DC warm-start cache quantize coordinates the same way
-// and hash the same key shape, so the scheme lives in one place.
+// cache and its persistent shards quantize coordinates the same way and hash
+// the same key shape, so the scheme lives in one place.
 #pragma once
 
 #include <cmath>

@@ -23,10 +23,9 @@
 // step, and builds the not-yet-stepped ones fresh.  A resumed campaign
 // produces bit-identical results to an uninterrupted one;
 // tests/test_campaign.cpp and tests/test_resume_state.cpp pin that parity.
-// The one caveat: wall-clock budgets (RunSpec::budget.max_wall_seconds) and
-// SPICE DC warm-start caches are inherently timing/thread dependent — specs
-// that rely on them resume correctly but only agree to solver tolerance
-// (see docs/architecture.md).
+// The one caveat: wall-clock budgets (RunSpec::budget.max_wall_seconds) are
+// inherently timing dependent — a spec that relies on one resumes correctly
+// but may not stop at the same step (see docs/architecture.md).
 #pragma once
 
 #include <cstdint>

@@ -20,13 +20,15 @@ namespace {
 /// The one engine-state frame version this build writes and reads.
 constexpr std::uint64_t kEngineStateVersion = 5;
 
+/// The engine-state `carried` line opens with the three counters of the
+/// removed DC warm-start cache, written as 0 and skipped on read, so the
+/// frame keeps its engine-state 5 layout.
+constexpr int kRetiredCarriedFields = 3;
+
 /// EngineStats fields counted in the engine's spice::CounterSink, in the
-/// order of the engine-state `carried` line.
+/// order of the engine-state `carried` line (after the retired fields).
 using SinkCounter = spice::CounterSink::Counter spice::CounterSink::*;
 constexpr std::pair<std::uint64_t EngineStats::*, SinkCounter> kSinkFields[] = {
-    {&EngineStats::dc_warm_hits, &spice::CounterSink::warm_hits},
-    {&EngineStats::dc_warm_misses, &spice::CounterSink::warm_misses},
-    {&EngineStats::dc_warm_stores, &spice::CounterSink::warm_stores},
     {&EngineStats::steps_accepted, &spice::CounterSink::steps_accepted},
     {&EngineStats::steps_rejected, &spice::CounterSink::steps_rejected},
     {&EngineStats::recovered_dc, &spice::CounterSink::recovered_dc},
@@ -53,6 +55,10 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
   if (config_.max_eval_retries < 0) {
     throw std::invalid_argument("EvaluationEngine: max_eval_retries must be >= 0");
   }
+  if (config_.dc_warm_start) {
+    throw std::invalid_argument(
+        "EvaluationEngine: dc_warm_start must be false (DC warm start was removed)");
+  }
   for (const char c : config_.cache_path) {
     // The RunSpec grammar is space-separated; a path that cannot round-trip
     // through it is rejected up front rather than corrupting a checkpoint.
@@ -68,7 +74,6 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
   options.adaptive_timestep = config_.adaptive_timestep;
   options.recovery.enabled = config_.recovery;
   options.deadline_newton_iterations = config_.eval_deadline_steps;
-  context_.dc_warm_start = config_.dc_warm_start;
   context_.noise_analysis = config_.spice_noise;
   context_.sink = &sink_;
   load_persistent_cache();
@@ -368,6 +373,7 @@ void EvaluationEngine::save_state(std::ostream& os) const {
   os << "counters " << requested_.load() << ' ' << executed_.load() << ' ' << cache_hits_.load()
      << ' ' << retries_.load() << ' ' << degraded_evals_.load() << '\n';
   os << "carried";
+  for (int i = 0; i < kRetiredCarriedFields; ++i) os << " 0";
   for (const auto& field : kSinkFields) os << ' ' << (sink_.*field.second).load();
   os << '\n';
   const std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -403,6 +409,10 @@ void EvaluationEngine::load_state(std::istream& is) {
   {
     std::istringstream line(state::expect_line(is, "carried"));
     EngineStats c;
+    std::uint64_t retired = 0;
+    for (int i = 0; i < kRetiredCarriedFields; ++i) {
+      if (!(line >> retired)) state::bad("malformed engine carried counters");
+    }
     for (const auto& field : kSinkFields) {
       if (!(line >> c.*field.first)) state::bad("malformed engine carried counters");
     }

@@ -48,13 +48,13 @@ struct SimulationCost {
   friend bool operator==(const SimulationCost&, const SimulationCost&) = default;
 };
 
-/// The SPICE numerics knobs below (dc_warm_start, adaptive_timestep,
-/// recovery, eval_deadline_steps, mos_model, spice_noise) apply per
+/// The SPICE numerics knobs below (adaptive_timestep, recovery,
+/// eval_deadline_steps, mos_model, spice_noise) apply per
 /// engine: the engine turns them into one spice::EvalContext at
 /// construction and installs it on the calling thread around each testbench
 /// call it makes, so engines with different configs can share a process and
-/// its worker threads.  A testbench called outside any engine runs the cold
-/// defaults (SimulatorOptions{}, warm start and simulated noise off).
+/// its worker threads.  A testbench called outside any engine runs the
+/// defaults (SimulatorOptions{}, simulated noise off).
 struct EngineConfig {
   /// Maximum simulations in flight for one batch.  0 = use every thread-pool
   /// worker; 1 = strictly sequential.
@@ -69,12 +69,10 @@ struct EngineConfig {
   /// cache keys.  Coarse enough to absorb round-trip noise, fine enough that
   /// distinct mismatch draws never alias.
   double cache_quantum = 1e-15;
-  /// Enable the SPICE-level DC warm-start cache (converged operating points
-  /// reused as Newton seeds across mismatch draws of one design).  Results
-  /// then depend on what a worker thread had cached before
-  /// (spice/warm_start.hpp); off is the reproducible setting.  Behavioral
-  /// testbenches are unaffected.
-  bool dc_warm_start = true;
+  /// Must be false: DC warm start was removed and the constructor rejects
+  /// true.  Kept only because the frozen benchmark program assigns it;
+  /// delete at the next benchmark change.
+  bool dc_warm_start = false;
   /// LTE-adaptive timestep control in the SPICE transient.  Changes metric
   /// values within the controller's truncation-error tolerance.
   bool adaptive_timestep = false;
@@ -125,9 +123,8 @@ struct EngineConfig {
 };
 
 /// Counter snapshot.  requested == cache_hits + executed at any quiescent
-/// point; requested is what simulation_count() reports.  The dc_warm_*
-/// counters report SPICE warm-start activity (summed over every worker
-/// thread's cache) of this engine's own testbench calls since it was
+/// point; requested is what simulation_count() reports.  The simulator
+/// counters below report this engine's own testbench calls since it was
 /// constructed or reset_count() was last called, so the whole evaluation
 /// funnel reads from one snapshot; other engines in the process never
 /// contribute.
@@ -135,18 +132,19 @@ struct EngineStats {
   std::uint64_t requested = 0;
   std::uint64_t executed = 0;
   std::uint64_t cache_hits = 0;
+  /// Always zero: the DC warm-start cache, the Newton LU-bypass and the
+  /// lockstep batched draw evaluator are gone, but the frozen benchmark
+  /// program still reads these seven; delete them at the next benchmark
+  /// change.
   std::uint64_t dc_warm_hits = 0;
   std::uint64_t dc_warm_misses = 0;
   std::uint64_t dc_warm_stores = 0;
-  /// Always zero: the Newton LU-bypass and the lockstep batched draw
-  /// evaluator are gone, but the frozen benchmark program still sums these
-  /// four; delete them at the next benchmark change.
   std::uint64_t batch_groups = 0;
   std::uint64_t batch_lanes = 0;
   std::uint64_t bypass_solves = 0;
   std::uint64_t bypass_refactors = 0;
-  /// Simulator-level activity (same per-engine convention as the dc_warm_*
-  /// counters): the adaptive timestep controller's accepted/rejected steps.
+  /// Simulator-level activity: the adaptive timestep controller's
+  /// accepted/rejected steps.
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
   /// Convergence-recovery funnel: DC points and transient steps the
@@ -208,7 +206,7 @@ class EvaluationEngine {
   /// hits count: the caller asked for that simulation whether or not the
   /// engine had to run it.
   [[nodiscard]] std::uint64_t simulation_count() const { return requested_.load(); }
-  /// Full counter snapshot (requested/executed/cache-hit + dc_warm_*).
+  /// Full counter snapshot (requested/executed/cache-hit + simulator).
   [[nodiscard]] EngineStats stats() const;
   /// Zero every counter.
   void reset_count();
@@ -277,8 +275,8 @@ class EvaluationEngine {
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> degraded_evals_{0};
-  /// SPICE and warm-start counters of this engine's testbench calls (the
-  /// dc_warm_* and simulator fields of EngineStats).
+  /// SPICE counters of this engine's testbench calls (the simulator fields
+  /// of EngineStats).
   spice::CounterSink sink_;
   /// The numerics of config_, installed around each testbench call.
   spice::EvalContext context_;

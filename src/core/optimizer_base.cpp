@@ -18,6 +18,8 @@ void write_glova_result(std::ostream& os, const GlovaResult& r) {
      << ' ' << r.n_simulations_executed << ' ' << r.n_cache_hits << ' ' << r.turbo_evaluations
      << ' ' << format_double_roundtrip(r.wall_seconds) << ' '
      << format_double_roundtrip(r.modeled_runtime) << '\n';
+  // The last three fields are the always-zero dc_warm_* counters, kept so
+  // the checkpoint layout does not change before the next benchmark change.
   os << "stats " << r.engine_stats.requested << ' ' << r.engine_stats.executed << ' '
      << r.engine_stats.cache_hits << ' ' << r.engine_stats.dc_warm_hits << ' '
      << r.engine_stats.dc_warm_misses << ' ' << r.engine_stats.dc_warm_stores << '\n';

@@ -48,8 +48,8 @@ struct GlovaResult {
   std::uint64_t n_simulations_executed = 0;
   std::uint64_t n_cache_hits = 0;
   /// Full evaluation-funnel snapshot (requested/executed/cache-hit plus the
-  /// SPICE dc_warm_* counters), identical across GLOVA and both baselines so
-  /// Table II comparisons read from one funnel.
+  /// SPICE counters), identical across GLOVA and both baselines so Table II
+  /// comparisons read from one funnel.
   EngineStats engine_stats;
   double wall_seconds = 0.0;        ///< measured wall time (timing; excluded
                                     ///< from bit-identical parity checks)

@@ -69,7 +69,6 @@ struct KeyHash {
 std::string memo_cache_tag(const std::string& testbench_name, const EngineConfig& engine) {
   std::string tag = testbench_name;
   tag += "|q=" + format_double_roundtrip(engine.cache_quantum);
-  tag += engine.dc_warm_start ? "|warm=1" : "|warm=0";
   tag += engine.adaptive_timestep ? "|adaptive=1" : "|adaptive=0";
   tag += engine.recovery ? "|recovery=1" : "|recovery=0";
   tag += "|retries=" + std::to_string(engine.max_eval_retries);

@@ -83,6 +83,7 @@ void validate_scalars(const RunSpec& spec) {
     bad_spec("corner_filter must be 'all' or 'cold_lv'");
   }
   if (spec.engine.cache_quantum <= 0.0) bad_spec("engine.cache_quantum must be positive");
+  if (spec.engine.max_eval_retries < 0) bad_spec("engine.max_eval_retries must be >= 0");
   if (spec.cost.per_simulation < 0.0 || spec.cost.per_rl_iteration < 0.0) {
     bad_spec("simulation costs must be non-negative");
   }
@@ -123,8 +124,7 @@ const std::vector<std::string_view>& run_spec_keys() {
       "max_wall_seconds", "cost_per_simulation",
       "cost_per_rl_iteration", "parallelism",
       "min_parallel_batch", "cache_capacity",
-      "cache_quantum",   "dc_warm_start",
-      "adaptive_timestep",
+      "cache_quantum",   "adaptive_timestep",
       "recovery",        "mos_model",
       "spice_noise",
       "max_eval_retries", "eval_deadline_steps",
@@ -162,7 +162,6 @@ std::string RunSpec::to_string() const {
   kv("min_parallel_batch", std::to_string(engine.min_parallel_batch));
   kv("cache_capacity", std::to_string(engine.cache_capacity));
   kv("cache_quantum", format_double(engine.cache_quantum));
-  kv("dc_warm_start", engine.dc_warm_start ? "1" : "0");
   kv("adaptive_timestep", engine.adaptive_timestep ? "1" : "0");
   kv("recovery", engine.recovery ? "1" : "0");
   kv("mos_model", engine.mos_model);
@@ -244,8 +243,6 @@ RunSpec RunSpec::from_string(std::string_view text) {
       spec.engine.cache_capacity = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "cache_quantum") {
       spec.engine.cache_quantum = parse_double(key, value);
-    } else if (key == "dc_warm_start") {
-      spec.engine.dc_warm_start = parse_bool(key, value);
     } else if (key == "adaptive_timestep") {
       spec.engine.adaptive_timestep = parse_bool(key, value);
     } else if (key == "recovery") {
@@ -258,7 +255,13 @@ RunSpec RunSpec::from_string(std::string_view text) {
     } else if (key == "spice_noise") {
       spec.engine.spice_noise = parse_bool(key, value);
     } else if (key == "max_eval_retries") {
-      spec.engine.max_eval_retries = static_cast<int>(parse_u64(key, value));
+      const std::uint64_t retries = parse_u64(key, value);
+      if (retries > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+        bad_spec("max_eval_retries must be at most " +
+                 std::to_string(std::numeric_limits<int>::max()) + ", got '" +
+                 std::string(value) + "'");
+      }
+      spec.engine.max_eval_retries = static_cast<int>(retries);
     } else if (key == "eval_deadline_steps") {
       spec.engine.eval_deadline_steps = parse_u64(key, value);
     } else if (key == "degrade_to_behavioral") {

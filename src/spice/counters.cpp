@@ -18,14 +18,6 @@ SpiceCounters CounterSink::spice() const {
   return c;
 }
 
-WarmStartStats CounterSink::warm() const {
-  WarmStartStats s;
-  s.hits = warm_hits.load(std::memory_order_relaxed);
-  s.misses = warm_misses.load(std::memory_order_relaxed);
-  s.stores = warm_stores.load(std::memory_order_relaxed);
-  return s;
-}
-
 void count(CounterSink::Counter CounterSink::*counter, std::uint64_t n) {
   if (n == 0) return;
   (g_process.*counter).fetch_add(n, std::memory_order_relaxed);
@@ -35,8 +27,6 @@ void count(CounterSink::Counter CounterSink::*counter, std::uint64_t n) {
 }
 
 SpiceCounters spice_counters() { return g_process.spice(); }
-
-WarmStartStats warm_start_stats() { return g_process.warm(); }
 
 void note_lte_steps(std::uint64_t accepted, std::uint64_t rejected) {
   count(&CounterSink::steps_accepted, accepted);

@@ -1,8 +1,8 @@
-// Simulator and DC warm-start counters (relaxed atomics, summed over every
-// thread).  Each event is added twice: to the process totals, and to the
-// CounterSink of the evaluation context installed on the calling thread
-// (see EvalContext in simulator.hpp), so core::EvaluationEngine reports
-// exactly the work its own testbench calls did.
+// Simulator counters (relaxed atomics, summed over every thread).  Each
+// event is added twice: to the process totals, and to the CounterSink of the
+// evaluation context installed on the calling thread (see EvalContext in
+// simulator.hpp), so core::EvaluationEngine reports exactly the work its own
+// testbench calls did.
 #pragma once
 
 #include <atomic>
@@ -27,13 +27,6 @@ struct SpiceCounters {
   std::uint64_t deadline_aborts = 0;
 };
 
-/// DC warm-start cache activity (summed over every thread's cache).
-struct WarmStartStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t stores = 0;
-};
-
 /// One set of counters.  The process totals are one sink; every evaluation
 /// engine owns another.
 struct CounterSink {
@@ -43,12 +36,8 @@ struct CounterSink {
   Counter recovered_dc{0};
   Counter recovered_transient{0};
   Counter deadline_aborts{0};
-  Counter warm_hits{0};
-  Counter warm_misses{0};
-  Counter warm_stores{0};
 
   [[nodiscard]] SpiceCounters spice() const;
-  [[nodiscard]] WarmStartStats warm() const;
 };
 
 /// Add `n` to one counter of the process totals and of the calling thread's
@@ -57,7 +46,6 @@ void count(CounterSink::Counter CounterSink::*counter, std::uint64_t n = 1);
 
 /// Process totals since start-up.
 [[nodiscard]] SpiceCounters spice_counters();
-[[nodiscard]] WarmStartStats warm_start_stats();
 
 void note_lte_steps(std::uint64_t accepted, std::uint64_t rejected);
 void note_recovered_dc();

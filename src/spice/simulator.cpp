@@ -725,15 +725,15 @@ namespace {
   return false;
 }
 
-/// DC operating point over an already-compiled plan, including the warm
-/// start attempt, cold restart, source-stepping fallback, and (when
-/// options.recovery.enabled) the gmin-stepping ladder.  `failure`, when
-/// non-null, receives the structured report on non-convergence.  `time`
-/// freezes source waveforms at a transient instant for the restart-from-DC
-/// recovery rung (0 = the conventional t=0 operating point).
+/// DC operating point over an already-compiled plan: a cold Newton solve,
+/// the source-stepping fallback, and (when options.recovery.enabled) the
+/// gmin-stepping ladder.  `failure`, when non-null, receives the structured
+/// report on non-convergence.  `time` freezes source waveforms at a
+/// transient instant for the restart-from-DC recovery rung (0 = the
+/// conventional t=0 operating point).
 [[nodiscard]] OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
                                             const SimulatorOptions& options,
-                                            SimulatorWorkspace& ws, const OpResult* warm_start,
+                                            SimulatorWorkspace& ws,
                                             FailureReport* failure = nullptr, double time = 0.0) {
   const std::size_t n_nodes = circuit.node_count();
   const std::size_t n_vsrc = circuit.vsources().size();
@@ -747,28 +747,7 @@ namespace {
   int iterations = 0;
   int recovery_attempts = 0;
   bool deadline_hit = false;
-  bool ok = false;
-  bool warm = false;
-  if (warm_start != nullptr && warm_start->converged &&
-      warm_start->node_voltages.size() == n_nodes &&
-      warm_start->vsource_currents.size() == n_vsrc) {
-    for (NodeId nd = 1; nd < n_nodes; ++nd) {
-      if (plan.node_is_unknown(nd)) x[plan.x_slot(nd)] = warm_start->node_voltages[nd];
-    }
-    for (std::size_t si = 0; si < n_vsrc; ++si) {
-      const std::size_t slot = plan.vsource_branch_slot(si);
-      if (slot != StampPlan::kNoSlot) x[slot] = warm_start->vsource_currents[si];
-    }
-    // VCVS branch currents are not part of OpResult; they stay seeded at 0.
-    warm = true;
-    ok = newton_solve_plan(plan, options, ws, in, x, iterations);
-    if (!ok) {
-      // A bad seed must never cost correctness: restart cold.
-      std::fill(x.begin(), x.end(), 0.0);
-      warm = false;
-    }
-  }
-  if (!ok) ok = newton_solve_plan(plan, options, ws, in, x, iterations);
+  bool ok = newton_solve_plan(plan, options, ws, in, x, iterations);
   if (!ok && deadline_exceeded(options, static_cast<std::uint64_t>(iterations))) {
     deadline_hit = true;
   }
@@ -831,7 +810,6 @@ namespace {
 
   result.converged = ok;
   result.iterations = iterations;
-  result.warm_started = warm;
   if (ok) {
     result.node_voltages.assign(n_nodes, 0.0);
     for (NodeId nd = 1; nd < n_nodes; ++nd) result.node_voltages[nd] = x[plan.x_slot(nd)];
@@ -853,11 +831,11 @@ bool Simulator::newton_solve(const AssemblyInputs& in, std::vector<double>& x, i
   return newton_solve_plan(plan_, options_, *workspace_, in, x, iterations);
 }
 
-OpResult Simulator::operating_point(const OpResult* warm_start) {
-  return operating_point_plan(circuit_, plan_, options_, *workspace_, warm_start);
+OpResult Simulator::operating_point() {
+  return operating_point_plan(circuit_, plan_, options_, *workspace_);
 }
 
-TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* dc_warm_start) {
+TransientResult Simulator::transient(const TransientSpec& spec) {
   TransientResult result;
   if (spec.dt <= 0.0 || spec.t_stop <= 0.0) {
     result.failure.stage = FailureStage::Setup;
@@ -883,8 +861,7 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
       }
     }
   } else {
-    OpResult op = operating_point_plan(circuit_, plan_, options_, *workspace_, dc_warm_start,
-                                       &result.failure);
+    OpResult op = operating_point_plan(circuit_, plan_, options_, *workspace_, &result.failure);
     if (!op.converged) {
       result.error = result.failure.to_string();
       return result;
@@ -1029,8 +1006,7 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
     }
     for (int restart = 0; restart < rp.dc_restart_attempts; ++restart) {
       ++attempts;
-      OpResult op =
-          operating_point_plan(circuit_, plan_, options_, *workspace_, nullptr, nullptr, t);
+      OpResult op = operating_point_plan(circuit_, plan_, options_, *workspace_, nullptr, t);
       result.newton_iterations += static_cast<std::uint64_t>(op.iterations);
       if (deadline_exceeded(options_, spent())) {
         deadline_hit = true;
@@ -1264,8 +1240,8 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
           // the divided-difference history is discarded).
           for (int restart = 0; restart < options_.recovery.dc_restart_attempts; ++restart) {
             ++report.attempts;
-            OpResult op = operating_point_plan(circuit_, plan_, options_, *workspace_, nullptr,
-                                               nullptr, t_next);
+            OpResult op =
+                operating_point_plan(circuit_, plan_, options_, *workspace_, nullptr, t_next);
             result.newton_iterations += static_cast<std::uint64_t>(op.iterations);
             if (deadline_exceeded(options_, spent())) {
               deadline_hit = true;

@@ -41,11 +41,9 @@ namespace glova::spice {
 
 struct OpResult {
   bool converged = false;
-  /// Total Newton iterations spent, summed over warm-start attempts and
+  /// Total Newton iterations spent, summed over the cold attempt and the
   /// source-stepping ramps (failed attempts included).
   int iterations = 0;
-  /// True when the solve converged from a caller-provided warm start.
-  bool warm_started = false;
   std::vector<double> node_voltages;  ///< indexed by NodeId (ground included, = 0)
   std::vector<double> vsource_currents;
 };
@@ -103,9 +101,8 @@ struct TransientResult {
   FailureReport failure;
   std::vector<double> times;
   std::vector<Trace> traces;
-  /// The DC operating point the run started from (empty when use_ic).
-  /// Callers can cache it and pass it back to Simulator::transient as the
-  /// warm start for related runs (e.g. mismatch draws of the same design).
+  /// The DC operating point the run started from (empty when use_ic); a
+  /// valid linearization point for spice::noise_analysis.
   OpResult dc_op;
   /// Newton iterations spent on the initial DC solve (0 when use_ic).
   int dc_iterations = 0;
@@ -134,7 +131,7 @@ struct TransientResult {
 /// Convergence-recovery ladder (all rungs off by default: with
 /// `enabled == false` every solve is bit-identical to previous releases).
 /// Rung order on a failure:
-///   1. DC: warm start -> cold restart -> source stepping (always on), then
+///   1. DC: cold Newton -> source stepping (always on), then
 ///      gmin stepping with anneal-back — an extra conductance to ground on
 ///      every unknown node, started large and annealed geometrically toward
 ///      zero; a failed rung retreats one level and descends more gently.
@@ -220,19 +217,18 @@ struct SimulatorOptions {
 struct CounterSink;
 
 /// The numerics of one testbench call: what the SPICE testbench backends
-/// build their simulators with, whether they use the DC warm-start cache and
-/// the simulated noise pass, and where the call's counters go (besides the
-/// process totals).  core::EvaluationEngine builds one from its EngineConfig
-/// and installs it around each testbench call it makes.
+/// build their simulators with, whether they run the simulated noise pass,
+/// and where the call's counters go (besides the process totals).
+/// core::EvaluationEngine builds one from its EngineConfig and installs it
+/// around each testbench call it makes.
 struct EvalContext {
   SimulatorOptions options;
-  bool dc_warm_start = false;
   bool noise_analysis = false;
   CounterSink* sink = nullptr;
 };
 
 /// The context installed on the calling thread.  With none installed, the
-/// cold defaults: SimulatorOptions{}, warm start and noise off, no sink.
+/// defaults: SimulatorOptions{}, noise off, no sink.
 [[nodiscard]] const EvalContext& current_context();
 
 /// Installs a context on the calling thread for the scope's lifetime and
@@ -527,19 +523,13 @@ class Simulator {
   explicit Simulator(const Circuit& circuit, SimulatorOptions options = {},
                      SimulatorWorkspace* workspace = nullptr);
 
-  /// DC operating point (capacitors open).  `warm_start` optionally seeds
-  /// Newton from a previously converged operating point of the same circuit
-  /// topology (e.g. another mismatch draw of the same design); on any
-  /// mismatch or failure the solver falls back to the cold-start path, so a
-  /// warm start can change the iteration count but never the converged
-  /// solution beyond vtol.
-  [[nodiscard]] OpResult operating_point(const OpResult* warm_start = nullptr);
+  /// DC operating point (capacitors open), solved cold: the result depends
+  /// only on the circuit and the options.
+  [[nodiscard]] OpResult operating_point();
 
-  /// Transient analysis.  `dc_warm_start` seeds the initial DC solve (no
-  /// effect when spec.use_ic); the converged DC point is returned in
-  /// TransientResult::dc_op for reuse.
-  [[nodiscard]] TransientResult transient(const TransientSpec& spec,
-                                          const OpResult* dc_warm_start = nullptr);
+  /// Transient analysis.  Unless spec.use_ic, it starts from a cold DC
+  /// solve, returned in TransientResult::dc_op.
+  [[nodiscard]] TransientResult transient(const TransientSpec& spec);
 
   [[nodiscard]] const StampPlan& plan() const { return plan_; }
 

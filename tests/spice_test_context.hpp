@@ -7,18 +7,16 @@
 
 namespace glova::spice {
 
-/// Cold-default options with the DC warm-start cache on — the numerics a
-/// direct testbench call in these suites is recorded under.
-inline EvalContext warm_context(MosModel model = MosModel::kLevel1) {
+/// Default options under one MOS model.
+inline EvalContext model_context(MosModel model) {
   EvalContext context;
   context.options.mos_model = model;
-  context.dc_warm_start = true;
   return context;
 }
 
 class ScopedTestContext {
  public:
-  explicit ScopedTestContext(EvalContext context = warm_context()) : context_(context) {
+  explicit ScopedTestContext(EvalContext context = {}) : context_(context) {
     context_.sink = &sink_;
   }
   ScopedTestContext(const ScopedTestContext&) = delete;

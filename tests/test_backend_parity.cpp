@@ -164,7 +164,7 @@ class BackendParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(BackendParity, NominalMetricsAgreeWithinBands) {
   const ParityBands& bands = kBands[GetParam()];
-  const spice::ScopedTestContext numerics(spice::warm_context(bands.model));
+  const spice::ScopedTestContext numerics(spice::model_context(bands.model));
   const auto beh = circuits::make_testbench(bands.tc, circuits::Backend::Behavioral);
   const auto spc = circuits::make_testbench(bands.tc, circuits::Backend::Spice);
   const auto designs = parity_grid::designs_x01(bands.tc);
@@ -180,7 +180,7 @@ TEST_P(BackendParity, NominalMetricsAgreeWithinBands) {
 
 TEST_P(BackendParity, LocalMismatchDrawsAgreeWithinBands) {
   const ParityBands& bands = kBands[GetParam()];
-  const spice::ScopedTestContext numerics(spice::warm_context(bands.model));
+  const spice::ScopedTestContext numerics(spice::model_context(bands.model));
   const auto beh = circuits::make_testbench(bands.tc, circuits::Backend::Behavioral);
   const auto spc = circuits::make_testbench(bands.tc, circuits::Backend::Spice);
   const auto designs = parity_grid::designs_x01(bands.tc);

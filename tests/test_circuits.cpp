@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "pdk/variation.hpp"
-#include "spice_test_context.hpp"
 
 namespace glova::circuits {
 namespace {
@@ -309,7 +308,6 @@ TEST_P(RobustDesignExists, PassesHeavySampling) {
 INSTANTIATE_TEST_SUITE_P(AllCircuits, RobustDesignExists, ::testing::Range(0, 3));
 
 TEST(SpiceBackend, SalDecisionAndTrendsMatchBehavioral) {
-  const spice::ScopedTestContext warm;
   StrongArmLatchSpice spice_tb;
   StrongArmLatch behavioral;
   std::vector<double> x01 = {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.05,
@@ -331,7 +329,6 @@ TEST(SpiceBackend, SalDecisionAndTrendsMatchBehavioral) {
 }
 
 TEST(SpiceBackend, FiaAmplifiesAndTrendsMatchBehavioral) {
-  const spice::ScopedTestContext warm;
   FloatingInverterAmplifierSpice fia;
   const std::vector<double> x01 = {0.15, 0.4, 0.3, 0.2, 0.02, 0.01};
   const auto x = fia.sizing().denormalize(x01);
@@ -353,7 +350,6 @@ TEST(SpiceBackend, FiaAmplifiesAndTrendsMatchBehavioral) {
 }
 
 TEST(SpiceBackend, DramOcsaResolvesBothPolaritiesAndOffsetTrades) {
-  const spice::ScopedTestContext warm;
   DramOcsaSubholeSpice dram;
   const std::vector<double> x01 = {0.7, 0.6, 0.8, 0.3, 0.4, 0.6, 0.8, 0.7, 0.9, 0.2, 0.8, 0.9};
   const auto x = dram.sizing().denormalize(x01);

@@ -13,6 +13,8 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "circuits/registry.hpp"
@@ -334,6 +336,19 @@ TEST(EvaluationEngine, MemoKeyQuantizationProperty) {
   EXPECT_EQ(engine.stats().cache_hits, 2 * hs.size() - grid_distinct.size());
 }
 
+TEST(EvaluationEngine, RejectsTheRemovedDcWarmStart) {
+  EngineConfig cfg;
+  EXPECT_FALSE(cfg.dc_warm_start);
+  cfg.dc_warm_start = true;
+  try {
+    EvaluationEngine engine(std::make_shared<ConcurrencyProbeBench>(), cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("DC warm start was removed"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(EvaluationEngine, SequentialParallelismNeverUsesThePool) {
   const auto probe = std::make_shared<ConcurrencyProbeBench>();
   EngineConfig cfg;
@@ -364,10 +379,9 @@ struct SalSpiceRun {
     hs.insert(hs.begin(), std::vector<double>{});
   }
 
-  static EngineConfig config(const char* mos_model, bool warm) {
+  static EngineConfig config(const char* mos_model) {
     EngineConfig cfg;
     cfg.mos_model = mos_model;
-    cfg.dc_warm_start = warm;
     cfg.min_parallel_batch = 2;  // fan the draws out over the pool
     return cfg;
   }
@@ -399,8 +413,8 @@ bool bit_identical(const std::vector<std::vector<double>>& a,
 
 TEST(EngineIsolation, EachEngineComputesAsIfAlone) {
   const SalSpiceRun run;
-  const EngineConfig level1 = SalSpiceRun::config("level1", false);
-  const EngineConfig ekv = SalSpiceRun::config("ekv", false);
+  const EngineConfig level1 = SalSpiceRun::config("level1");
+  const EngineConfig ekv = SalSpiceRun::config("ekv");
   const auto alone_level1 = run.step(*SalSpiceRun::engine(level1));
   const auto alone_ekv = run.step(*SalSpiceRun::engine(ekv));
   // The two models really differ here, so a leak would show.
@@ -426,11 +440,10 @@ TEST(EngineIsolation, EachEngineComputesAsIfAlone) {
 
 TEST(EngineIsolation, EngineCountersPartitionTheProcessTotals) {
   const SalSpiceRun run;
-  EngineConfig adaptive = SalSpiceRun::config("ekv", true);
+  EngineConfig adaptive = SalSpiceRun::config("ekv");
   adaptive.adaptive_timestep = true;
   const spice::SpiceCounters spice_before = spice::spice_counters();
-  const spice::WarmStartStats warm_before = spice::warm_start_stats();
-  const auto a = SalSpiceRun::engine(SalSpiceRun::config("level1", true));
+  const auto a = SalSpiceRun::engine(SalSpiceRun::config("level1"));
   const auto b = SalSpiceRun::engine(adaptive);
   std::thread other([&] { (void)run.step(*b); });
   (void)run.step(*a);
@@ -440,12 +453,7 @@ TEST(EngineIsolation, EngineCountersPartitionTheProcessTotals) {
   const EngineStats sa = a->stats();
   const EngineStats sb = b->stats();
   const spice::SpiceCounters sp = spice::spice_counters();
-  const spice::WarmStartStats warm = spice::warm_start_stats();
-  EXPECT_GT(sa.dc_warm_hits + sa.dc_warm_misses, 0u);
   EXPECT_GT(sb.steps_accepted, 0u);
-  EXPECT_EQ(sa.dc_warm_hits + sb.dc_warm_hits, warm.hits - warm_before.hits);
-  EXPECT_EQ(sa.dc_warm_misses + sb.dc_warm_misses, warm.misses - warm_before.misses);
-  EXPECT_EQ(sa.dc_warm_stores + sb.dc_warm_stores, warm.stores - warm_before.stores);
   EXPECT_EQ(sa.steps_accepted + sb.steps_accepted,
             sp.steps_accepted - spice_before.steps_accepted);
   EXPECT_EQ(sa.steps_rejected + sb.steps_rejected,
@@ -472,15 +480,14 @@ std::vector<double> evaluate_direct(const circuits::Testbench& tb, std::span<con
   }
 }
 
-// With the DC warm start off, an engine fanning one draw batch out over the
-// pool computes every draw exactly as a bare Testbench::evaluate on this
-// thread, with no evaluation context installed, does: the thread a draw
-// lands on and the draws before it on that thread leave no trace.  Monte
-// Carlo sign-off relies on this.
-TEST(EvaluationEngine, SpiceBatchMatchesDirectEvaluateWithWarmStartOff) {
+// A default engine fanning one draw batch out over the pool computes every
+// draw exactly as a bare Testbench::evaluate on this thread, with no
+// evaluation context installed, does: the thread a draw lands on and the
+// draws before it on that thread leave no trace.  Monte Carlo sign-off
+// relies on this.
+TEST(EvaluationEngine, SpiceBatchMatchesDirectEvaluate) {
   const auto op_config = OperationalConfig::for_method(VerifMethod::C_MCL);
-  EngineConfig cfg;
-  cfg.dc_warm_start = false;
+  const EngineConfig cfg;
   for (const circuits::Testcase tc : circuits::all_testcases()) {
     const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
     EvaluationEngine engine(tb, cfg);

@@ -315,7 +315,6 @@ TEST(RunSpec, RoundTripsThroughText) {
   spec.engine.parallelism = 4;
   spec.engine.cache_capacity = 128;
   spec.engine.cache_quantum = 1e-12;
-  spec.engine.dc_warm_start = false;
   spec.progress_log = true;
 
   const std::string text = spec.to_string();
@@ -336,6 +335,13 @@ TEST(RunSpec, FromStringRejectsGarbage) {
   EXPECT_THROW((void)core::RunSpec::from_string("seed=abc"), std::invalid_argument);
   EXPECT_THROW((void)core::RunSpec::from_string("no_such_key=1"), std::invalid_argument);
   EXPECT_THROW((void)core::RunSpec::from_string("just-a-token"), std::invalid_argument);
+  // Retry counts above INT_MAX must not wrap (to 1, or to a negative count).
+  EXPECT_THROW((void)core::RunSpec::from_string("max_eval_retries=4294967297"),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::RunSpec::from_string("max_eval_retries=2147483648"),
+               std::invalid_argument);
+  EXPECT_EQ(core::RunSpec::from_string("max_eval_retries=2147483647").engine.max_eval_retries,
+            2147483647);
 }
 
 TEST(RunSpec, ValidateAcceptsEveryRegistryCombination) {
@@ -363,6 +369,10 @@ TEST(RunSpec, ValidateRejectsBadScalars) {
   core::RunSpec bad_samples;
   bad_samples.n_opt_samples = 0;
   EXPECT_THROW(bad_samples.validate(), std::invalid_argument);
+  core::RunSpec bad_retries;
+  bad_retries.engine.max_eval_retries = -1;
+  EXPECT_THROW(bad_retries.validate(), std::invalid_argument);
+  EXPECT_THROW((void)core::make_optimizer(bad_retries), std::invalid_argument);
 }
 
 /// Counts callbacks and checks the per-iteration stats snapshot.

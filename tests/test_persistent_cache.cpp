@@ -33,7 +33,7 @@ std::string fresh_dir(const std::string& name) {
 
 core::MemoCacheFile sample_file() {
   core::MemoCacheFile file;
-  file.tag = "sample-bench|q=1e-15|warm=1|adaptive=0|recovery=0"
+  file.tag = "sample-bench|q=1e-15|adaptive=0|recovery=0"
              "|retries=0|deadline=0|degrade=0";
   file.entries.push_back({{1, -2, 3}, {0.5, -1.25}});
   file.entries.push_back({{4, 5}, {3.0}});
@@ -172,6 +172,10 @@ TEST(MemoCacheFormat, FileNameShardsByConfigAndSanitizesTheName) {
   b.cache_quantum = 1e-9;
   EXPECT_NE(core::memo_cache_file_name("my bench/v2", b), name_a);
   EXPECT_NE(core::memo_cache_tag("my bench/v2", b), core::memo_cache_tag("my bench/v2", a));
+  // The default tag names every numerics-affecting knob, in order.
+  EXPECT_EQ(core::memo_cache_tag("sal", a),
+            "sal|q=1.0000000000000001e-15|adaptive=0|recovery=0|retries=0|deadline=0"
+            "|degrade=0|mos=level1|noise=0");
 }
 
 std::vector<double> midpoint_design(const circuits::Testbench& tb) {

@@ -74,8 +74,7 @@ TEST(PinnedSeedRegression, SimulationCountsMatchReferenceTable) {
 // landed (ISSUE 5).  The compiled-plan assembler, the fused LU kernel, the
 // pinned-source absorption, and the netlist construction itself must
 // reproduce them to within Newton's voltage tolerance (measured deviation:
-// ~2e-13 relative).  Warm start is disabled so the check is independent of
-// cache state.
+// ~2e-13 relative).
 //
 // Re-recording (only for an intentional solver/netlist change): run this
 // binary, copy the "actual" values from the failing EXPECT_NEAR output —
@@ -119,7 +118,7 @@ const SpiceBaseline kSpiceBaselines[] = {
 };
 
 TEST(PinnedSeedRegression, SpiceMetricsMatchRecordedBaselines) {
-  // Direct calls run the cold defaults (no warm start), the recorded setting.
+  // Direct calls run the default numerics, the recorded setting.
   std::vector<std::vector<double>> measured;
   for (const SpiceBaseline& row : kSpiceBaselines) {
     const auto tb = circuits::make_testbench(row.testcase, circuits::Backend::Spice);

@@ -162,14 +162,13 @@ TEST(ResumeState, SaveAndLoadEnforceTheSessionProtocol) {
   }
 }
 
-/// The core parity pin, per algorithm: a session saved after k steps and
+/// The core parity pin, for one spec: a session saved after k steps and
 /// restored into a fresh session finishes bit-identically to an
 /// uninterrupted run — at an early, a mid-run, and a late checkpoint.  The
 /// restored session must also re-save to the exact same bytes (state fixed
 /// point), and saving must not perturb the original session.
-void check_resume_parity(core::Algorithm algorithm) {
+void check_resume_parity(const core::RunSpec& spec) {
   set_log_level(LogLevel::Warn);
-  const core::RunSpec spec = parity_spec(algorithm);
 
   const core::GlovaResult reference = core::make_optimizer(spec)->run();
   const std::size_t total = reference.rl_iterations;
@@ -178,7 +177,7 @@ void check_resume_parity(core::Algorithm algorithm) {
   std::set<std::size_t> checkpoints = {1, total / 2, total - 1};
   for (const std::size_t k : checkpoints) {
     if (k == 0 || k >= total) continue;
-    SCOPED_TRACE(std::string(core::to_string(algorithm)) + " checkpoint at step " +
+    SCOPED_TRACE(std::string(core::to_string(spec.algorithm)) + " checkpoint at step " +
                  std::to_string(k) + " of " + std::to_string(total));
 
     const auto driver = core::make_optimizer(spec);
@@ -211,15 +210,24 @@ void check_resume_parity(core::Algorithm algorithm) {
 }
 
 TEST(ResumeState, GlovaResumesBitIdentically) {
-  check_resume_parity(core::Algorithm::Glova);
+  check_resume_parity(parity_spec(core::Algorithm::Glova));
+}
+
+TEST(ResumeState, GlovaResumesBitIdenticallyOnSpice) {
+  // Every SPICE evaluation is a cold solve, so a SPICE-backed session
+  // resumes bit-identically under the default engine config too.
+  core::RunSpec spec = parity_spec(core::Algorithm::Glova);
+  spec.backend = circuits::Backend::Spice;
+  spec.max_iterations = 6;
+  check_resume_parity(spec);
 }
 
 TEST(ResumeState, PvtSizingResumesBitIdentically) {
-  check_resume_parity(core::Algorithm::PvtSizing);
+  check_resume_parity(parity_spec(core::Algorithm::PvtSizing));
 }
 
 TEST(ResumeState, RobustAnalogResumesBitIdentically) {
-  check_resume_parity(core::Algorithm::RobustAnalog);
+  check_resume_parity(parity_spec(core::Algorithm::RobustAnalog));
 }
 
 TEST(ResumeState, CampaignLoadPerformsZeroEvaluations) {

@@ -453,7 +453,6 @@ TEST(Server, TenantsWithDifferentSpiceNumericsGetTheirOwnResults) {
     sweeps[i].algorithms = {core::Algorithm::Glova};
     sweeps[i].base.backend = circuits::Backend::Spice;
     sweeps[i].base.max_iterations = 4;
-    sweeps[i].base.engine.dc_warm_start = false;
     sweeps[i].base.engine.mos_model = models[i];
   }
   std::array<std::string, 2> submitted;
@@ -561,9 +560,10 @@ TEST(Server, SpoolJobFromAnEarlierBuildFailsWithTheUnknownKey) {
 
   // Job records as earlier builds spooled them: each spec still carries the
   // key of one removed knob (the Newton LU-bypass, the lockstep batched
-  // draw evaluator, surrogate speculative evaluation).
-  const std::vector<std::string> removed_keys = {
-      "newton_bypass", "batched_draws", "surrogate", "surrogate_keep", "surrogate_warmup"};
+  // draw evaluator, surrogate speculative evaluation, DC warm start).
+  const std::vector<std::string> removed_keys = {"newton_bypass",    "batched_draws",
+                                                 "surrogate",        "surrogate_keep",
+                                                 "surrogate_warmup", "dc_warm_start"};
   const std::string anchor = "adaptive_timestep=0 ";
   const auto job_id = [](std::size_t n) { return "job-00000" + std::to_string(n); };
   for (std::size_t k = 0; k < removed_keys.size(); ++k) {

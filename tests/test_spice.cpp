@@ -5,7 +5,9 @@
 
 #include <cmath>
 
+#include "circuits/spice_backend.hpp"
 #include "common/rng.hpp"
+#include "pdk/corner.hpp"
 #include "pdk/mos_params.hpp"
 #include "spice/circuit.hpp"
 #include "spice/lu.hpp"
@@ -314,6 +316,27 @@ TEST(Transient, FinalStepLandsExactlyOnTStop) {
   ASSERT_TRUE(even.ok);
   EXPECT_DOUBLE_EQ(even.times.back(), spec.t_stop);
   EXPECT_EQ(even.times.size(), 1001u);
+}
+
+TEST(Transient, ReportsIterationCountersAndDcOp) {
+  // The StrongARM latch netlist: the DC point the transient starts from is
+  // returned (the AC/noise pass reuses it), with the Newton work split into
+  // the DC solve and at least one iteration per accepted step.
+  const circuits::StrongArmLatchSpice sal;
+  const std::vector<double> x01 = {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2,
+                                   0.0, 0.0, 0.0, 0.0, 0.0, 0.05, 0.01};
+  const Circuit ckt = sal.build_netlist(sal.sizing().denormalize(x01), pdk::typical_corner(), {});
+  Simulator sim(ckt);
+  TransientSpec spec;
+  spec.t_stop = 0.4e-9;
+  spec.dt = 2e-12;
+  spec.record = {"out_a", "out_b"};
+
+  const TransientResult res = sim.transient(spec);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_TRUE(res.dc_op.converged);
+  EXPECT_GT(res.dc_iterations, 0);
+  EXPECT_GE(res.newton_iterations, res.times.size() - 1);  // >= 1 per step
 }
 
 TEST(TransientResult, TraceLookupByNameIsRebuiltAfterAppends) {

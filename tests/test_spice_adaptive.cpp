@@ -132,8 +132,8 @@ TEST(AdaptiveTimestep, ProcessCountersMirrorResultCounters) {
 // On the testbenches the adaptive and fixed grids differ, so metrics agree
 // only within the controller's truncation-error tolerance.  The 3% band is
 // ~4x the worst deviation observed across the parity grid (see
-// docs/architecture.md).  Warm start off on both sides: each draw is a cold
-// solve, so the comparison does not depend on evaluation order.
+// docs/architecture.md).  Each draw is a cold solve, so the comparison does
+// not depend on evaluation order.
 TEST(AdaptiveTimestep, TestbenchMetricsStayWithinToleranceBand) {
   EvalContext adaptive;
   adaptive.options.adaptive_timestep = true;

@@ -18,9 +18,7 @@
 #include "spice/circuit.hpp"
 #include "spice/counters.hpp"
 #include "spice/simulator.hpp"
-#include "spice/warm_start.hpp"
 #include "spice/waveform.hpp"
-#include "spice_test_context.hpp"
 
 namespace glova::spice {
 namespace {
@@ -340,9 +338,7 @@ struct SalFixture {
 };
 
 TEST(EngineFunnel, BackendsRaiseStructuredErrorsWithPenaltyMetrics) {
-  const ScopedTestContext warm;
   SalFixture fx;
-  thread_local_dc_cache().clear();
   const FaultPlan all = one_site(0, kAll, FaultPlan::Kind::NonConverge);
   ScopedFaults guard(&all);
   try {
@@ -357,12 +353,10 @@ TEST(EngineFunnel, BackendsRaiseStructuredErrorsWithPenaltyMetrics) {
 }
 
 TEST(EngineFunnel, PenaltyPathIsTheDefaultAndNeverThrows) {
-  const ScopedTestContext warm;
   SalFixture fx;
   core::EngineConfig config;
   config.cache_capacity = 0;
   core::EvaluationEngine engine(fx.tb, config);
-  thread_local_dc_cache().clear();
   const FaultPlan all = one_site(0, kAll, FaultPlan::Kind::NonConverge);
   ScopedFaults guard(&all);
   const auto metrics = engine.evaluate_one(fx.x, fx.corner, {});
@@ -373,13 +367,11 @@ TEST(EngineFunnel, PenaltyPathIsTheDefaultAndNeverThrows) {
 }
 
 TEST(EngineFunnel, EscalatedRetryRecoversATransientFault) {
-  const ScopedTestContext warm;
   SalFixture fx;
 
   // Reference metrics and the per-evaluation solve budget F: a clean run's
   // cursor tells how many solves one evaluation consumes, and a fault-all
   // failing attempt consumes at most as many before throwing.
-  thread_local_dc_cache().clear();
   FaultPlan probe;
   set_thread_fault_plan(&probe);
   const auto reference = fx.tb->evaluate(fx.x, fx.corner, {});
@@ -389,7 +381,6 @@ TEST(EngineFunnel, EscalatedRetryRecoversATransientFault) {
 
   std::uint64_t failing_solves = 0;
   {
-    thread_local_dc_cache().clear();
     const FaultPlan all = one_site(0, kAll, FaultPlan::Kind::NonConverge);
     ScopedFaults guard(&all);
     EXPECT_THROW((void)fx.tb->evaluate(fx.x, fx.corner, {}), circuits::EvaluationError);
@@ -401,7 +392,6 @@ TEST(EngineFunnel, EscalatedRetryRecoversATransientFault) {
   config.cache_capacity = 0;
   config.max_eval_retries = 2;
   core::EvaluationEngine engine(fx.tb, config);
-  thread_local_dc_cache().clear();
   const FaultPlan fp = one_site(0, failing_solves, FaultPlan::Kind::NonConverge);
   ScopedFaults guard(&fp);
   const auto metrics = engine.evaluate_one(fx.x, fx.corner, {});
@@ -419,7 +409,6 @@ TEST(EngineFunnel, EscalatedRetryRecoversATransientFault) {
 }
 
 TEST(EngineFunnel, DegradationQuarantinesToTheBehavioralSibling) {
-  const ScopedTestContext warm;
   SalFixture fx;
   ASSERT_NE(fx.tb->degraded_fallback(), nullptr);
 
@@ -431,7 +420,6 @@ TEST(EngineFunnel, DegradationQuarantinesToTheBehavioralSibling) {
   config.cache_capacity = 0;
   config.degrade_to_behavioral = true;
   core::EvaluationEngine engine(fx.tb, config);
-  thread_local_dc_cache().clear();
   const FaultPlan all = one_site(0, kAll, FaultPlan::Kind::NonConverge);
   ScopedFaults guard(&all);
   const auto metrics = engine.evaluate_one(fx.x, fx.corner, {});
@@ -441,9 +429,8 @@ TEST(EngineFunnel, DegradationQuarantinesToTheBehavioralSibling) {
 }
 
 TEST(EngineFunnel, StatsSurfaceTheRecoveryCounters) {
-  // The recovery counters of the engine's own calls surface in EngineStats
-  // (the same convention as the dc_warm_* counters); the ladder is armed by
-  // the engine's config reaching the simulator.
+  // The recovery counters of the engine's own calls surface in EngineStats;
+  // the ladder is armed by the engine's config reaching the simulator.
   const auto probe = std::make_shared<RcProbe>();
   core::EngineConfig config;
   config.recovery = true;

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   }
   // The numerics tests/test_backend_parity.cpp asserts under.
   const spice::ScopedTestContext numerics(
-      spice::warm_context(ekv ? spice::MosModel::kEkv : spice::MosModel::kLevel1));
+      spice::model_context(ekv ? spice::MosModel::kEkv : spice::MosModel::kLevel1));
   for (const auto tc : circuits::all_testcases()) {
     const auto beh = circuits::make_testbench(tc, circuits::Backend::Behavioral);
     const auto spc = circuits::make_testbench(tc, circuits::Backend::Spice);
